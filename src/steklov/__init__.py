@@ -51,7 +51,6 @@ from .spectral import (
     dtn_matrix,
     green_identity_gap,
     harmonic_extension,
-    jacobi_eigh,
     lambda2,
     laplacian_apply,
     laplacian_matrix,

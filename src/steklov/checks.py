@@ -22,6 +22,7 @@ from .errors import GraphValidationError
 from .flows import sigma
 from .graphs import (
     BoundaryGraph,
+    _component,
     branch,
     build,
     diametral_path,
@@ -219,24 +220,12 @@ class DiameterDecomposition:
 def diameter_decomposition(g: BoundaryGraph) -> DiameterDecomposition:
     _require_leaf_boundary_tree(g)
     path = diametral_path(g)
-    on_path = set(path)
     counts = []
     components: list[set[int]] = []
     for k, xk in enumerate(path):
-        blocked = set()
-        if k > 0:
-            blocked.add(path[k - 1])
-        if k + 1 < len(path):
-            blocked.add(path[k + 1])
-        comp = {xk}
-        stack = [xk]
-        while stack:
-            a = stack.pop()
-            for b in g.neighbors(a):
-                if b in blocked or b in comp:
-                    continue
-                comp.add(b)
-                stack.append(b)
+        # on a tree, deleting the path edges at xk is blocking its path neighbors
+        blocked = set(path[max(k - 1, 0) : k + 2]) - {xk}
+        comp = _component(g.adjacency, xk, blocked)
         components.append(comp)
         counts.append(len((comp - {xk}) & g.boundary))
     h2: BoundaryGraph | None = None

@@ -49,15 +49,10 @@ from .hunt import HuntConfig, HuntReport, find_fig1, hunt_problem1, hunt_problem
 from .serialize import loads, to_dot, to_edge_list, to_graph6
 from .spectral import steklov_spectrum
 
-CHECKS = {
-    "monotonicity": "monotonicity",
-    "doubling": "doubling",
-    "partition": "partition",
-    "diameter": "diameter",
-    "degree_diameter": "degree_diameter",
-    "dichotomy": "dichotomy",
-    "branch_dichotomy": "dichotomy",
-}
+CHECKS = (
+    "monotonicity", "doubling", "partition", "diameter", "degree_diameter", "dichotomy"
+)
+CHECK_ALIASES = {"branch_dichotomy": "dichotomy"}
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +214,8 @@ def _run_check(name: str, g: BoundaryGraph, rng: random.Random, args, tol) -> Ch
 
 
 def cmd_verify(args, parser, tol: Tolerances) -> int:
-    name = CHECKS.get(args.check)
-    if name is None:
+    name = CHECK_ALIASES.get(args.check, args.check)
+    if name not in CHECKS:
         raise ParseError(f"unknown check {args.check!r}")
     rng = random.Random(args.seed)
     reports: list[CheckReport] = []
@@ -279,7 +274,7 @@ def cmd_hunt(args, parser, tol: Tolerances) -> int:
     )
     resume = HuntReport.load(args.resume) if args.resume else None
     runner = hunt_problem1 if args.problem == "1" else hunt_problem2
-    report = runner(cfg, resume)
+    report = runner(cfg, resume, tol)
     print(
         f"{report.status}: {report.instances} instances, "
         f"{len(report.violations)} violations, {report.wall_time_s:.2f}s"
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flow)
 
     p = add_parser("verify", help="run a law checker")
-    p.add_argument("check", help="|".join(sorted(set(CHECKS))))
+    p.add_argument("check", help="|".join(sorted(CHECKS + tuple(CHECK_ALIASES))))
     _add_input_opts(p)
     p.add_argument("--at", help="vertex selector for vertex-anchored checks")
     p.add_argument("--random-trees", type=int, metavar="N", default=0)

@@ -1,8 +1,7 @@
 """Central tolerance bundle.
 
-Every report echoes the bundle it was produced with, and the CLI honors
-``STEKLOV_TOL_<FIELD>`` environment overrides so numeric thresholds live in
-exactly one place.
+The CLI honors ``STEKLOV_TOL_<FIELD>`` environment overrides so numeric
+thresholds live in exactly one place.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass, fields, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    eigensolver_offdiag: float = 1e-13  # Jacobi off-diagonal Frobenius target
     eigen_residual: float = 1e-9        # max ||A v - w v|| accepted per eigenpair
     assertion: float = 1e-8             # assertion-class comparisons in checks
     agreement: float = 1e-8             # cross-method agreement (sigma methods)
@@ -28,9 +26,6 @@ class Tolerances:
     dtn_symmetry: float = 1e-12         # DtN asymmetry bound
     dtn_rowsum: float = 1e-10           # DtN row-sum bound
     green: float = 1e-10                # Green identity gap, relative
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_env(cls, env=None) -> "Tolerances":

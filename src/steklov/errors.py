@@ -14,7 +14,7 @@ class ParseError(SteklovError, ValueError):
 
 
 class EigensolverError(SteklovError, RuntimeError):
-    """The Jacobi sweep failed to converge or the residual check failed."""
+    """LAPACK failed to diagonalize the DtN matrix or the residual check failed."""
 
 
 class ResonantLambda(SteklovError, RuntimeError):

@@ -26,7 +26,7 @@ from .errors import (
     NormalizationFailure,
     ResonantLambda,
 )
-from .graphs import BoundaryGraph, branch, double_at, leaves
+from .graphs import BoundaryGraph, _bfs, branch, double_at, leaves
 from .spectral import laplacian_apply, laplacian_matrix, steklov_spectrum
 
 
@@ -79,19 +79,6 @@ def default_norm_vertex(g: BoundaryGraph, x: int) -> int:
     return cands[0]
 
 
-def _rooted(g: BoundaryGraph, x: int) -> tuple[list[int], list[int]]:
-    """Parent array and a preorder listing of the tree rooted at x."""
-    parent = [-2] * g.n
-    parent[x] = -1
-    order = [x]
-    for u in order:
-        for v in g.neighbors(u):
-            if parent[v] == -2:
-                parent[v] = u
-                order.append(v)
-    return parent, order
-
-
 def _resonant(c: float, d: float, tol: Tolerances) -> bool:
     return abs(c) < tol.resonance * max(1.0, abs(c) + abs(d))
 
@@ -101,7 +88,7 @@ def transfer_pairs(
 ) -> dict[int, TransferPair]:
     """Transfer pair of every subtree hanging below x."""
     _require_flow_tree(g, x)
-    parent, order = _rooted(g, x)
+    order, parent, _ = _bfs(g, x)
     pairs: dict[int, TransferPair] = {}
     for u in reversed(order):
         if u == x:
@@ -136,7 +123,7 @@ def solve_flow(
     if w == x or w not in g.boundary:
         raise GraphValidationError(f"normalization vertex {w} must be boundary != x")
 
-    parent, order = _rooted(g, x)
+    order, parent, _ = _bfs(g, x)
     pairs = transfer_pairs(g, x, lam, tol)
     f = np.zeros(g.n)
     scale: dict[int, float] = {}
@@ -245,7 +232,7 @@ def edge_flow_residual(g: BoundaryGraph, flow: LambdaFlow) -> float:
     target equals lambda times the boundary mass hanging behind it."""
     _require_flow_tree(g, flow.target)
     f = flow.values
-    parent, order = _rooted(g, flow.target)
+    order, parent, _ = _bfs(g, flow.target)
     bsum = [0.0] * g.n
     res = 0.0
     for u in reversed(order):
@@ -272,7 +259,7 @@ def positivity_check(
         raise ValueError("positivity is defined for lambda > 0")
     _require_flow_tree(g, flow.target)
     f = flow.values
-    parent, order = _rooted(g, flow.target)
+    order, parent, _ = _bfs(g, flow.target)
     min_grad = math.inf
     for u in order[1:]:
         min_grad = min(min_grad, f[u] - f[parent[u]])
@@ -354,15 +341,22 @@ def _sigma_bisect(g: BoundaryGraph, x: int, tol: Tolerances) -> SigmaResult:
     if bracket is None:
         return _sigma_no_bracket(g, x, w, sigma1, tol)
 
+    # Stop once the bracket is narrow and the midpoint flow is a witness
+    # (steep flows need a narrower bracket than tol.bisection), or once the
+    # bracket cannot shrink any further.
     lo, hi = bracket
-    while hi - lo > tol.bisection:
-        mid = (lo + hi) / 2.0
-        if fx(mid) > 0.0:
-            lo = mid
+    while True:
+        sig = (lo + hi) / 2.0
+        witness = _flow_with_retry(g, x, sig, w, tol)
+        val = float(witness.values[x])
+        if sig in (lo, hi) or (
+            hi - lo <= tol.bisection and abs(val) <= tol.sigma_witness
+        ):
+            break
+        if val > 0.0:
+            lo = sig
         else:
-            hi = mid
-    sig = (lo + hi) / 2.0
-    witness = _flow_with_retry(g, x, sig, w, tol)
+            hi = sig
     _check_witness(g, witness, sig, tol)
     return SigmaResult(sigma=sig, method="bisection", witness=witness, sigma1=sigma1)
 

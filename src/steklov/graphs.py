@@ -69,20 +69,24 @@ def _normalize_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(sorted(out))
 
 
+def _component(adjacency, start: int, blocked) -> set[int]:
+    """Vertices reachable from start without entering a blocked vertex."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if v not in blocked and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def _connected(n: int, adjacency, subset=None) -> bool:
     verts = set(range(n)) if subset is None else set(subset)
     if not verts:
         return True
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v in verts and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen == verts
+    blocked = set(range(n)) - verts
+    return _component(adjacency, next(iter(verts)), blocked) == verts
 
 
 def build(
@@ -185,16 +189,8 @@ def branch(g: BoundaryGraph, u: int, v: int, closed: bool = True) -> BranchRef:
         raise GraphValidationError("branches are defined on trees only")
     if v not in g.neighbors(u):
         raise GraphValidationError(f"({u},{v}) is not an edge")
-    seen = {u}
-    stack = [u]
-    while stack:
-        a = stack.pop()
-        for b in g.neighbors(a):
-            if b == v and a == u:
-                continue
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
+    # on a tree, cutting the edge (u, v) is the same as blocking v
+    seen = _component(g.adjacency, u, {v})
     return BranchRef(u=u, v=v, closed=closed, vertices=tuple(sorted(seen)))
 
 
@@ -378,34 +374,32 @@ def random_tree(n: int, seed: int) -> BoundaryGraph:
 # ---------------------------------------------------------------------------
 # metrics and canonical forms
 
-def _bfs_dist(g: BoundaryGraph, src: int) -> tuple[list[int], list[int]]:
+def _bfs(g: BoundaryGraph, src: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order from src, parent array (-1 at src and at unreached
+    vertices) and distance array (-1 at unreached vertices)."""
     dist = [-1] * g.n
     parent = [-1] * g.n
     dist[src] = 0
-    queue = [src]
-    for u in queue:
+    order = [src]
+    for u in order:
         for v in g.neighbors(u):
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 parent[v] = u
-                queue.append(v)
-    return dist, parent
+                order.append(v)
+    return order, parent, dist
 
 
 def diameter(g: BoundaryGraph) -> int:
     """Largest combinatorial distance between two vertices."""
-    best = 0
-    for v in range(g.n):
-        dist, _ = _bfs_dist(g, v)
-        best = max(best, max(dist))
-    return best
+    return max(max(_bfs(g, v)[2]) for v in range(g.n))
 
 
 def diametral_path(g: BoundaryGraph) -> list[int]:
     """One shortest path realizing the diameter (smallest-id tie-break)."""
-    dist0, _ = _bfs_dist(g, 0)
+    dist0 = _bfs(g, 0)[2]
     x0 = max(range(g.n), key=lambda v: (dist0[v], -v))
-    dist, parent = _bfs_dist(g, x0)
+    _, parent, dist = _bfs(g, x0)
     xl = max(range(g.n), key=lambda v: (dist[v], -v))
     path = [xl]
     while parent[path[-1]] >= 0:
@@ -414,10 +408,8 @@ def diametral_path(g: BoundaryGraph) -> list[int]:
     return path
 
 
-def tree_center(g: BoundaryGraph) -> int:
-    """Center of a tree (smallest id if bicentral)."""
-    if not g.is_tree:
-        raise GraphValidationError("tree_center needs a tree")
+def _centers(g: BoundaryGraph) -> list[int]:
+    """The one or two centers of a tree, ascending, by peeling leaf layers."""
     deg = [g.degree(v) for v in range(g.n)]
     remaining = set(range(g.n))
     layer = [v for v in remaining if deg[v] <= 1]
@@ -431,17 +423,18 @@ def tree_center(g: BoundaryGraph) -> int:
                     if deg[u] == 1:
                         nxt.append(u)
         layer = nxt
-    return min(remaining)
+    return sorted(remaining)
+
+
+def tree_center(g: BoundaryGraph) -> int:
+    """Center of a tree (smallest id if bicentral)."""
+    if not g.is_tree:
+        raise GraphValidationError("tree_center needs a tree")
+    return _centers(g)[0]
 
 
 def _ahu_root_form(g: BoundaryGraph, root: int) -> str:
-    order = [root]
-    parent = {root: -1}
-    for u in order:
-        for v in g.neighbors(u):
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
+    order, parent, _ = _bfs(g, root)
     label: dict[int, str] = {}
     for u in reversed(order):
         kids = sorted(label[v] for v in g.neighbors(u) if v != parent[u])
@@ -453,21 +446,7 @@ def tree_canonical_form(g: BoundaryGraph) -> str:
     """AHU canonical string of the underlying free tree."""
     if not g.is_tree:
         raise GraphValidationError("canonical form needs a tree")
-    deg = [g.degree(v) for v in range(g.n)]
-    remaining = set(range(g.n))
-    layer = [v for v in remaining if deg[v] <= 1]
-    while len(remaining) > 2:
-        nxt = []
-        for v in layer:
-            remaining.discard(v)
-            for u in g.neighbors(v):
-                if u in remaining:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    centers = sorted(remaining)
-    return min(_ahu_root_form(g, c) for c in centers)
+    return min(_ahu_root_form(g, c) for c in _centers(g))
 
 
 def trees_isomorphic(g1: BoundaryGraph, g2: BoundaryGraph) -> bool:

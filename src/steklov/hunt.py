@@ -377,29 +377,15 @@ def _exhaustive_instances(cfg: HuntConfig) -> list[tuple]:
 
 def _eval_instance(payload: tuple) -> tuple[int, float, dict | None]:
     """Worker body: one pendant addition, one spectral comparison."""
-    idx, n, edges, boundary, strict, x, k_min, k_max = payload
-    g1 = build(n, [tuple(e) for e in edges], boundary=set(boundary), strict=strict)
-    g2 = add_pendant(g1, x)
-    pair = make_pair(g1, g2, x, "pendant", k_min, k_max)
+    idx, g1, x, k_min, k_max, tol = payload
+    pair = make_pair(g1, add_pendant(g1, x), x, "pendant", k_min, k_max, tol)
     doc = pair.to_json() if pair.min_margin < -VIOLATION_TOL else None
     return idx, pair.min_margin, doc
 
 
-def _payload(cfg: HuntConfig, idx: int, inst: tuple) -> tuple:
-    g1, x = inst
-    return (
-        idx,
-        g1.n,
-        [list(e) for e in g1.edges],
-        sorted(g1.boundary),
-        g1.strict,
-        x,
-        cfg.k_min,
-        cfg.k_max,
-    )
-
-
-def _run_hunt(cfg: HuntConfig, resume: HuntReport | None) -> HuntReport:
+def _run_hunt(
+    cfg: HuntConfig, resume: HuntReport | None, tol: Tolerances
+) -> HuntReport:
     start = time.monotonic()
     exhaustive = _exhaustive_instances(cfg)
     cursor = 0
@@ -426,7 +412,8 @@ def _run_hunt(cfg: HuntConfig, resume: HuntReport | None) -> HuntReport:
         inst = _instance(cfg, idx, exhaustive)
         if inst is None:
             break
-        pending.append(_payload(cfg, idx, inst))
+        g1, x = inst
+        pending.append((idx, g1, x, cfg.k_min, cfg.k_max, tol))
         idx += 1
 
     if cfg.workers > 1 and len(pending) > 1:
@@ -458,19 +445,27 @@ def _run_hunt(cfg: HuntConfig, resume: HuntReport | None) -> HuntReport:
     return report
 
 
-def hunt_problem1(cfg: HuntConfig, resume: HuntReport | None = None) -> HuntReport:
+def hunt_problem1(
+    cfg: HuntConfig,
+    resume: HuntReport | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> HuntReport:
     """Search trees for lambda_k(g1) < lambda_k(g1 + pendant)."""
     if cfg.problem != "1":
         raise ValueError("config is not for problem 1")
-    return _run_hunt(cfg, resume)
+    return _run_hunt(cfg, resume, tol)
 
 
-def hunt_problem2(cfg: HuntConfig, resume: HuntReport | None = None) -> HuntReport:
+def hunt_problem2(
+    cfg: HuntConfig,
+    resume: HuntReport | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> HuntReport:
     """Search degree-1-boundary graphs (pendant growth only, so the cycle
     structure is preserved) for the same violation."""
     if cfg.problem != "2":
         raise ValueError("config is not for problem 2")
-    return _run_hunt(cfg, resume)
+    return _run_hunt(cfg, resume, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Steklov spectra via the Dirichlet-to-Neumann operator.
 
 The DtN matrix is the Schur complement of the interior block of the graph
-Laplacian.  Eigendecomposition is a hand-rolled cyclic Jacobi sweep so the
-numerical core stays dependency-free; numpy is used for the dense interior
-factorizations only.  Boundary data is always ordered by ascending vertex id.
+Laplacian.  Its eigendecomposition is LAPACK's symmetric solver through
+numpy, with the sign of each eigenvector fixed so output is deterministic;
+a cyclic Jacobi solver in the test suite serves as the independent
+reference.  Boundary data is always ordered by ascending vertex id.
 """
 
 from __future__ import annotations
@@ -52,10 +53,7 @@ def _boundary_vector(g: BoundaryGraph, data) -> np.ndarray:
 
 
 def harmonic_extension(
-    g: BoundaryGraph,
-    boundary_values,
-    method: str = "dense",
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    g: BoundaryGraph, boundary_values, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """Extend boundary data harmonically to the interior.
 
@@ -63,67 +61,26 @@ def harmonic_extension(
     the sorted boundary.  Returns the full vertex function.
     """
     fb = _boundary_vector(g, boundary_values)
-    order = g.boundary_sorted()
+    bnd = list(g.boundary_sorted())
     f = np.zeros(g.n)
-    f[list(order)] = fb
+    f[bnd] = fb
     interior = sorted(g.interior)
-    if interior:
-        if method == "dense":
-            _extend_dense(g, f, interior)
-        elif method == "tree":
-            _extend_tree_peel(g, f, interior)
-        else:
-            raise ValueError(f"unknown extension method {method!r}")
-    residual = np.max(np.abs(laplacian_apply(g, f)[interior])) if interior else 0.0
+    if not interior:
+        return f
+    lap = laplacian_matrix(g)
+    try:
+        f[interior] = np.linalg.solve(
+            lap[np.ix_(interior, interior)], -lap[np.ix_(interior, bnd)] @ fb
+        )
+    except np.linalg.LinAlgError as exc:
+        raise InternalFault(f"singular interior block: {exc}") from None
+    residual = np.max(np.abs(laplacian_apply(g, f)[interior]))
     scale = max(1.0, float(np.max(np.abs(fb))))
     if residual > tol.harmonic_residual * scale:
         raise InternalFault(
             f"harmonic extension residual {residual:.3e} exceeds tolerance"
         )
     return f
-
-
-def _extend_dense(g: BoundaryGraph, f: np.ndarray, interior: list[int]) -> None:
-    lap = laplacian_matrix(g)
-    bnd = list(g.boundary_sorted())
-    lap_ii = lap[np.ix_(interior, interior)]
-    lap_ib = lap[np.ix_(interior, bnd)]
-    try:
-        u = np.linalg.solve(lap_ii, -lap_ib @ f[bnd])
-    except np.linalg.LinAlgError as exc:
-        raise InternalFault(f"singular interior block: {exc}") from None
-    f[interior] = u
-
-
-def _extend_tree_peel(g: BoundaryGraph, f: np.ndarray, interior: list[int]) -> None:
-    """Eliminate the interior in leaf-to-root order of the interior forest."""
-    inner = set(interior)
-    diag = {v: float(g.degree(v)) for v in inner}
-    rhs = {v: sum(f[u] for u in g.neighbors(v) if u not in inner) for v in inner}
-
-    seen: set[int] = set()
-    for start in interior:
-        if start in seen:
-            continue
-        order = [start]
-        parent: dict[int, int] = {start: -1}
-        seen.add(start)
-        for v in order:
-            for u in g.neighbors(v):
-                if u in inner and u not in seen:
-                    seen.add(u)
-                    parent[u] = v
-                    order.append(u)
-        # fold children upward
-        for v in reversed(order):
-            p = parent[v]
-            if p >= 0:
-                diag[p] -= 1.0 / diag[v]
-                rhs[p] += rhs[v] / diag[v]
-        # substitute downward
-        f[start] = rhs[start] / diag[start]
-        for v in order[1:]:
-            f[v] = (rhs[v] + f[parent[v]]) / diag[v]
 
 
 @dataclass(frozen=True)
@@ -162,82 +119,6 @@ def dtn_matrix(g: BoundaryGraph, tol: Tolerances = DEFAULT_TOLERANCES) -> DtnMat
     if rowsum > tol.dtn_rowsum * scale:
         raise InternalFault(f"DtN row sums {rowsum:.3e} out of bounds")
     return DtnMatrix(boundary=tuple(bnd), matrix=mat)
-
-
-def jacobi_eigh(
-    a: np.ndarray,
-    offdiag_tol: float = DEFAULT_TOLERANCES.eigensolver_offdiag,
-    max_sweeps: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps rotate every (p, q) pair until the off-diagonal Frobenius norm
-    drops below offdiag_tol (relative to the matrix scale).  Returns
-    eigenvalues ascending and orthonormal eigenvector columns.
-    """
-    a = np.array(a, dtype=float)
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    vec = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), vec
-    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
-    thresh = offdiag_tol * scale
-    elem_skip = thresh / n
-
-    def offdiag_norm(m: np.ndarray) -> float:
-        # zero the diagonal structurally: the subtract-norms formulation
-        # cancels catastrophically once the off-diagonal part is tiny
-        off = m - np.diag(np.diag(m))
-        return float(np.sqrt(np.sum(off * off)))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= elem_skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v_p = vec[:, p].copy()
-                v_q = vec[:, q].copy()
-                vec[:, p] = c * v_p - s * v_q
-                vec[:, q] = s * v_p + c * v_q
-    if not converged:
-        off = offdiag_norm(a)
-        if off > thresh:
-            raise EigensolverError(
-                f"Jacobi did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal {off:.3e})"
-            )
-    w = np.diag(a).copy()
-    idx = np.argsort(w, kind="stable")
-    w = w[idx]
-    vec = vec[:, idx]
-    # deterministic sign: largest-magnitude entry of each column positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(vec[:, j])))
-        if vec[k, j] < 0:
-            vec[:, j] = -vec[:, j]
-    return w, vec
 
 
 @dataclass(frozen=True)
@@ -310,7 +191,13 @@ def steklov_spectrum(
 ) -> Spectrum:
     """Full DtN eigendecomposition with invariant checks."""
     dtn = dtn_matrix(g, tol)
-    w, vec = jacobi_eigh(dtn.matrix, tol.eigensolver_offdiag)
+    try:
+        w, vec = np.linalg.eigh(dtn.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK eigh failed: {exc}") from None
+    # deterministic sign: largest-magnitude entry of each column positive
+    top = np.argmax(np.abs(vec), axis=0)
+    vec = vec * np.where(vec[top, np.arange(len(w))] < 0, -1.0, 1.0)
     scale = max(1.0, float(np.max(np.abs(dtn.matrix))))
     residual = float(np.max(np.abs(dtn.matrix @ vec - vec * w)))
     if residual > tol.eigen_residual * scale:

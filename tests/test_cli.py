@@ -252,6 +252,19 @@ def test_hunt_resume_via_cli(capsys, tmp_path):
     assert out.startswith("complete: 26 instances, 0 violations")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_hunt_honors_tolerance_overrides(capsys, monkeypatch, workers):
+    # an impossible residual bound must reach every hunt worker
+    monkeypatch.setenv("STEKLOV_TOL_EIGEN_RESIDUAL", "0")
+    rc, _, err = run(
+        capsys,
+        "hunt", "1", "--nmax", "7", "--budget", "100", "--kmin", "2",
+        "--workers", workers,
+    )
+    assert rc == 1
+    assert "eigen residual" in err
+
+
 # ---------------------------------------------------------------------------
 # generate
 

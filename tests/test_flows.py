@@ -8,13 +8,15 @@ Frozen closed forms used as oracles:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steklov import (
+    DEFAULT_TOLERANCES,
     GraphValidationError,
     NearSingular,
     ResonantLambda,
@@ -53,12 +55,39 @@ def test_transfer_pairs_p4_hand_values():
     assert abs(pairs[2].c) < 1e-15 and math.isclose(pairs[2].d, 1.0)
 
 
+def _exact_c(g, x, v, lam: Fraction) -> Fraction:
+    """c of the subtree at v, rooted away from x, in exact arithmetic."""
+    parent = {x: None}
+    queue = [x]
+    for u in queue:
+        for k in g.neighbors(u):
+            if k not in parent:
+                parent[k] = u
+                queue.append(k)
+
+    def c_of(u):
+        kids = [k for k in g.neighbors(u) if k != parent[u]]
+        if not kids:
+            return 1 - lam
+        return 1 - sum((1 - c) / c for c in map(c_of, kids))
+
+    return c_of(v)
+
+
 @given(st.integers(3, 14), st.integers(0, 10**5), st.floats(0.0, 0.2))
+@example(7, 0, 0.19999999999999998)  # c at vertex 0 is (1 - 5 lam)/(1 - 3 lam)
 @settings(max_examples=60, deadline=None)
 def test_transfer_pairs_sum_to_one(n, seed, lam):
+    # pairs exist, or the lambda is a true resonance: the coefficient the
+    # error names is also below the cutoff when recomputed exactly
     g = random_tree(n, seed)
     x = min(g.boundary)
-    pairs = transfer_pairs(g, x, lam)
+    try:
+        pairs = transfer_pairs(g, x, lam)
+    except ResonantLambda as exc:
+        exact = _exact_c(g, x, exc.vertex, Fraction(lam))
+        assert abs(exact) < DEFAULT_TOLERANCES.resonance
+        return
     assert len(pairs) == g.n - 1
     for p in pairs.values():
         assert abs(p.c + p.d - 1.0) < 1e-12
@@ -230,6 +259,24 @@ def test_sigma_routes_agree_random():
         d = sigma(g, x, method="doubling").sigma
         b = sigma(g, x, method="bisection").sigma
         assert abs(d - b) < 1e-8
+
+
+def test_sigma_bisection_on_steep_flow():
+    # near sigma the flow at vertex 0 is so steep that a bracket of width
+    # tol.bisection still leaves |f(0)| above the witness bound
+    g = random_tree(30, 2)
+    b = sigma(g, 0, method="bisection")
+    assert abs(b.witness.values[0]) <= DEFAULT_TOLERANCES.sigma_witness
+    assert abs(b.sigma - sigma(g, 0, method="doubling").sigma) < 1e-8
+
+
+def test_sigma_routes_agree_large_trees():
+    for n in range(30, 61, 5):
+        g = random_tree(n, n)
+        for x in (min(g.boundary), max(g.boundary)):
+            d = sigma(g, x, method="doubling").sigma
+            b = sigma(g, x, method="bisection").sigma
+            assert abs(d - b) < 1e-8
 
 
 def test_sigma_witness_laws():
