@@ -67,11 +67,14 @@ def _instance(g: BoundaryGraph, **params) -> str:
     return f"{base} {extra}".strip()
 
 
-def _require_leaf_boundary_tree(g: BoundaryGraph) -> None:
+def _require_leaf_boundary_tree(g: BoundaryGraph, *vertices: int) -> None:
     if not g.is_tree:
         raise GraphValidationError("checker is defined on trees")
-    if g.boundary != leaves(g):
+    if not g.is_default_boundary:
         raise GraphValidationError("checker needs boundary == leaves")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphValidationError(f"vertex {v} out of range")
 
 
 def _branch_sigma(
@@ -130,9 +133,7 @@ def check_doubling(
     closed branches at x, and every gap eigenvector of the double vanishes
     at the glue vertex.  The two sides come from an eigensolve and a flow
     bisection respectively."""
-    _require_leaf_boundary_tree(g)
-    if not 0 <= x < g.n:
-        raise GraphValidationError(f"vertex {x} out of range")
+    _require_leaf_boundary_tree(g, x)
     doubled = double_at(g, x)
     spec_d = steklov_spectrum(doubled.graph, tol)
     lam2d = spec_d.lambda2
@@ -170,9 +171,7 @@ def check_partition(
     """At a boundary vertex the doubled gap equals sigma and sits strictly
     below the gap of the original graph; at an interior vertex it never
     exceeds it."""
-    _require_leaf_boundary_tree(g)
-    if not 0 <= x < g.n:
-        raise GraphValidationError(f"vertex {x} out of range")
+    _require_leaf_boundary_tree(g, x)
     lam2g = steklov_spectrum(g, tol).lambda2
     if x in g.boundary:
         sig = sigma(g, x, method="doubling", tol=tol).sigma
@@ -413,9 +412,7 @@ def check_branch_dichotomy(
     At most one branch may sit strictly below; exactly one below forces all
     others strictly above; none below forces at least two to attain the gap
     exactly, and then every gap eigenfunction vanishes at z."""
-    _require_leaf_boundary_tree(g)
-    if not 0 <= z < g.n:
-        raise GraphValidationError(f"vertex {z} out of range")
+    _require_leaf_boundary_tree(g, z)
     if g.degree(z) < 2:
         raise GraphValidationError("dichotomy needs a vertex of degree >= 2")
     spec_g = steklov_spectrum(g, tol)

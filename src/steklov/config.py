@@ -1,7 +1,7 @@
 """Central tolerance bundle.
 
-The CLI honors ``STEKLOV_TOL_<FIELD>`` environment overrides so numeric
-thresholds live in exactly one place.
+The CLI honors ``STEKLOV_TOL_<FIELD>`` environment overrides for every
+field; a few thresholds are still literals in the modules that use them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class Tolerances:
     vanishing: float = 1e-7             # eigenvector vanishing threshold
     dtn_symmetry: float = 1e-12         # DtN asymmetry bound
     dtn_rowsum: float = 1e-10           # DtN row-sum bound
-    green: float = 1e-10                # Green identity gap, relative
 
     @classmethod
     def from_env(cls, env=None) -> "Tolerances":

@@ -7,8 +7,9 @@ dimensional; solve_flow builds it by a transfer recursion over the tree
 rooted at x, solve_flow_dense solves the equivalent square linear system as
 an independent oracle.  sigma(g, x) is the smallest lambda whose flow
 vanishes at x with positive gradients toward x; it is computed either from
-the spectral gap of the doubled graph or by recursive bisection, and the two
-routes are kept strictly separate so they can check each other.
+the spectral gap of the doubled graph or by bisection below the branch bound
+sigma1, and the two routes are kept strictly separate so they can check each
+other.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NormalizationFailure,
     ResonantLambda,
 )
-from .graphs import BoundaryGraph, _bfs, branch, double_at, leaves
+from .graphs import BoundaryGraph, _bfs, branch, double_at
 from .spectral import laplacian_apply, laplacian_matrix, steklov_spectrum
 
 
@@ -65,7 +66,7 @@ class SigmaResult:
 def _require_flow_tree(g: BoundaryGraph, x: int) -> None:
     if not g.is_tree:
         raise GraphValidationError("flows are defined on trees")
-    if g.boundary != leaves(g):
+    if not g.is_default_boundary:
         raise GraphValidationError("flow calculus needs boundary == leaves")
     if not 0 <= x < g.n:
         raise GraphValidationError(f"vertex {x} out of range")
@@ -89,10 +90,15 @@ def transfer_pairs(
     """Transfer pair of every subtree hanging below x."""
     _require_flow_tree(g, x)
     order, parent, _ = _bfs(g, x)
+    return _transfer(g, order, parent, lam, tol)
+
+
+def _transfer(
+    g: BoundaryGraph, order: list[int], parent: list[int], lam: float, tol: Tolerances
+) -> dict[int, TransferPair]:
+    """transfer_pairs on a tree already rooted at order[0] by _bfs."""
     pairs: dict[int, TransferPair] = {}
-    for u in reversed(order):
-        if u == x:
-            continue
+    for u in reversed(order[1:]):
         kids = [v for v in g.neighbors(u) if v != parent[u]]
         if not kids:
             pairs[u] = TransferPair(c=1.0 - lam, d=lam)
@@ -124,7 +130,7 @@ def solve_flow(
         raise GraphValidationError(f"normalization vertex {w} must be boundary != x")
 
     order, parent, _ = _bfs(g, x)
-    pairs = transfer_pairs(g, x, lam, tol)
+    pairs = _transfer(g, order, parent, lam, tol)
     f = np.zeros(g.n)
     scale: dict[int, float] = {}
     kids_x = [v for v in g.neighbors(x)]
@@ -235,11 +241,9 @@ def edge_flow_residual(g: BoundaryGraph, flow: LambdaFlow) -> float:
     order, parent, _ = _bfs(g, flow.target)
     bsum = [0.0] * g.n
     res = 0.0
-    for u in reversed(order):
-        if u in g.boundary and u != flow.target:
+    for u in reversed(order[1:]):
+        if u in g.boundary:
             bsum[u] += f[u]
-        if u == flow.target:
-            continue
         p = parent[u]
         grad = f[u] - f[p]
         res = max(res, abs(grad - flow.lam * bsum[u]))
@@ -302,49 +306,33 @@ def _check_witness(
 
 
 def _sigma1(g: BoundaryGraph, x: int, tol: Tolerances) -> float:
-    """Smallest branch sigma at the neighbor of x; inf for the single edge."""
-    if g.n == 2:
-        return math.inf
-    (x1,) = g.neighbors(x)
-    best = math.inf
-    for j in g.neighbors(x1):
-        if j == x:
-            continue
-        ref = branch(g, j, x1, closed=True)
-        sub, relabel = ref.as_graph(g)
-        best = min(best, _sigma_bisect(sub, relabel[x1], tol).sigma)
-    return best
+    """Smallest branch sigma at the neighbor x1 of x; inf for the single edge.
+
+    Branch v is v's subtree, with g rooted at x, plus v's parent, taken at
+    the parent; its own sigma1 is the least sigma of its children's branches."""
+    order, parent, _ = _bfs(g, x)
+    best = [math.inf] * g.n
+    for v in reversed(order[2:]):  # leaves first
+        p = parent[v]
+        sub, relabel = branch(g, v, p, closed=True).as_graph(g)
+        best[p] = min(best[p], _bisect(sub, relabel[p], best[v], tol).sigma)
+    return best[order[1]]
 
 
-def _sigma_bisect(g: BoundaryGraph, x: int, tol: Tolerances) -> SigmaResult:
+def _bisect(
+    g: BoundaryGraph, x: int, sigma1: float, tol: Tolerances
+) -> SigmaResult:
     w = default_norm_vertex(g, x)
     if g.n == 2:
         witness = solve_flow(g, x, 1.0, w, tol)
         return SigmaResult(sigma=1.0, method="bisection", witness=witness, sigma1=None)
-    sigma1 = _sigma1(g, x, tol)
-
-    def fx(lam: float) -> float:
-        return float(_flow_with_retry(g, x, lam, w, tol).values[x])
-
-    bracket = None
-    for npts in (64, 256):
-        prev_lam, prev_val = 0.0, 1.0  # constant flow at lambda = 0
-        for i in range(1, npts):
-            lam = sigma1 * i / npts
-            val = fx(lam)
-            if prev_val > 0.0 >= val:
-                bracket = (prev_lam, lam)
-                break
-            prev_lam, prev_val = lam, val
-        if bracket:
-            break
-    if bracket is None:
-        return _sigma_no_bracket(g, x, w, sigma1, tol)
-
-    # Stop once the bracket is narrow and the midpoint flow is a witness
-    # (steep flows need a narrower bracket than tol.bisection), or once the
-    # bracket cannot shrink any further.
-    lo, hi = bracket
+    # Below sigma1 every transfer coefficient under x's neighbor x1 is positive
+    # (c_leaf = 1 - lambda and c_u = deg(u) - sum 1/c_k fall, and cross 0 only
+    # through -inf), so f(w) > 0 and f(x) has the sign of c_x1, which falls
+    # from 1 to -inf: f(x) changes sign exactly once in (0, sigma1).  Stop once
+    # the bracket is narrow and the midpoint flow is a witness (steep flows
+    # need a narrower bracket than tol.bisection), or once it cannot shrink.
+    lo, hi = 0.0, sigma1
     while True:
         sig = (lo + hi) / 2.0
         witness = _flow_with_retry(g, x, sig, w, tol)
@@ -361,27 +349,6 @@ def _sigma_bisect(g: BoundaryGraph, x: int, tol: Tolerances) -> SigmaResult:
     return SigmaResult(sigma=sig, method="bisection", witness=witness, sigma1=sigma1)
 
 
-def _sigma_no_bracket(
-    g: BoundaryGraph, x: int, w: int, sigma1: float, tol: Tolerances
-) -> SigmaResult:
-    # A zero below sigma1 is guaranteed; before declaring a fault,
-    # cross-examine the doubling route.  If its witness also fails, report
-    # the documented infinity sentinel instead of a wrong number.
-    try:
-        doubled = double_at(g, x)
-        lam2 = steklov_spectrum(doubled.graph, tol).lambda2
-        witness = _flow_with_retry(g, x, lam2, w, tol)
-        _check_witness(g, witness, lam2, tol)
-    except (InternalFault, ResonantLambda, NormalizationFailure):
-        return SigmaResult(
-            sigma=math.inf, method="bisection", witness=None, sigma1=sigma1
-        )
-    raise InternalFault(
-        f"bisection found no sign change below sigma1={sigma1!r} although the "
-        f"doubling route gives sigma={lam2!r}; grid logic is faulty"
-    )
-
-
 def sigma(
     g: BoundaryGraph,
     x: int,
@@ -391,14 +358,14 @@ def sigma(
     """Smallest lambda whose flow vanishes at x with positive gradients.
 
     method "doubling" reads it off the spectral gap of the graph doubled at
-    x (one eigensolve); method "bisection" scans the flow value at x below
-    the recursive branch bound sigma1.
+    x (one eigensolve); method "bisection" bisects the flow value at x below
+    the branch bound sigma1.
     """
     _require_flow_tree(g, x)
     if x not in g.boundary:
         raise GraphValidationError("sigma is evaluated at boundary vertices only")
     if method == "bisection":
-        return _sigma_bisect(g, x, tol)
+        return _bisect(g, x, _sigma1(g, x, tol), tol)
     if method != "doubling":
         raise ValueError(f"unknown sigma method {method!r}")
     w = default_norm_vertex(g, x)
@@ -415,7 +382,7 @@ def sigma(
 def sigma_upper_bound(
     g: BoundaryGraph, x: int, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """The recursive branch bound sigma1 (resonance-free zone is [0, sigma1))."""
+    """The branch bound sigma1 (resonance-free zone is [0, sigma1))."""
     _require_flow_tree(g, x)
     if x not in g.boundary:
         raise GraphValidationError("sigma1 is defined at boundary vertices only")

@@ -15,6 +15,7 @@ cursor and a parallel run merges to byte-identical results.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -298,12 +299,18 @@ def enumerate_trees(n: int):
         yield build(n, sorted(tuple(sorted(e)) for e in t.edges()), boundary=None)
 
 
+@functools.cache
+def _atlas() -> tuple:
+    """networkx's graph atlas (every graph up to 7 vertices), read once."""
+    return tuple(nx.graph_atlas_g())
+
+
 def enumerate_graphs(n: int):
     """Connected graphs on n vertices with at least one degree-1 vertex,
     in graph-atlas order."""
     if not 3 <= n <= 7:
         raise ValueError(f"graph enumeration supports 3 <= n <= 7, got {n}")
-    for g in nx.graph_atlas_g():
+    for g in _atlas():
         if g.number_of_nodes() != n or g.number_of_edges() == 0:
             continue
         if not nx.is_connected(g):

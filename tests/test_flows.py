@@ -7,7 +7,9 @@ Frozen closed forms used as oracles:
   - spider 0-1, 1-2, 1-3-4, target 0: sigma = (5 - sqrt(5))/10
 """
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steklov import flows
 from steklov import (
     DEFAULT_TOLERANCES,
     GraphValidationError,
@@ -277,6 +280,46 @@ def test_sigma_routes_agree_large_trees():
             d = sigma(g, x, method="doubling").sigma
             b = sigma(g, x, method="bisection").sigma
             assert abs(d - b) < 1e-8
+
+
+def test_sigma_bisection_long_path_skips_the_doubling_route(monkeypatch):
+    # sigma / sigma1 = 256/257: the zero sits in the last 1/257 of (0, sigma1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bisection route called the doubling route")
+
+    monkeypatch.setattr(flows, "double_at", refuse)
+    monkeypatch.setattr(flows, "steklov_spectrum", refuse)
+    res = sigma(path_tree(257), 0, method="bisection")
+    assert abs(res.sigma - 1.0 / 257.0) < 1e-10
+
+
+def test_sigma_bisection_needs_no_recursion():
+    # one stack frame per tree level would overrun this limit
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 80)
+    try:
+        res = sigma(path_tree(100), 0, method="bisection")
+    finally:
+        sys.setrecursionlimit(old)
+    assert abs(res.sigma - 0.01) < 1e-10
+
+
+@given(st.integers(3, 20), st.integers(0, 10**5), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_one_sign_change_below_sigma1(n, seed, last):
+    # below sigma1 every coefficient under x's neighbor x1 stays positive,
+    # so f(x), which has the sign of c at x1, changes sign at most once
+    g = random_tree(n, seed)
+    x = max(g.boundary) if last else min(g.boundary)
+    (x1,) = g.neighbors(x)
+    s1 = sigma_upper_bound(g, x)
+    signs = []
+    for i in range(1, 41):
+        lam = s1 * i / 41.0
+        pairs = transfer_pairs(g, x, lam)
+        assert all(p.c > 0.0 for v, p in pairs.items() if v != x1)
+        signs.append(solve_flow(g, x, lam).values[x] > 0.0)
+    assert sum(a != b for a, b in zip(signs, signs[1:])) <= 1
 
 
 def test_sigma_witness_laws():

@@ -66,6 +66,23 @@ def test_enumerate_graphs_n7_count():
     assert sum(1 for _ in enumerate_graphs(7)) == GRAPH_COUNTS[7]
 
 
+def test_enumerate_graphs_reads_the_atlas_once(monkeypatch):
+    from steklov import hunt
+
+    reads = []
+    atlas = hunt.nx.graph_atlas_g
+
+    def counted():
+        reads.append(1)
+        return atlas()
+
+    monkeypatch.setattr(hunt.nx, "graph_atlas_g", counted)
+    hunt._atlas.cache_clear()
+    for n in range(3, 8):
+        assert sum(1 for _ in enumerate_graphs(n)) == GRAPH_COUNTS[n]
+    assert len(reads) == 1
+
+
 def test_enumeration_range_errors():
     with pytest.raises(ValueError):
         list(enumerate_trees(2))
