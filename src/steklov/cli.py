@@ -249,9 +249,6 @@ def cmd_verify(args, parser, tol: Tolerances) -> int:
 def cmd_hunt(args, parser, tol: Tolerances) -> int:
     if args.problem == "fig1":
         pair = find_fig1(args.nmax, tol)
-        if pair is None:
-            print("no pair found")
-            return 0
         lam1 = pair.eigenvalues1[1]
         lam2 = pair.eigenvalues2[1]
         print(

@@ -19,7 +19,6 @@ class Tolerances:
     flow_residual: float = 1e-10        # transfer-recursion system residual
     dense_flow_residual: float = 1e-9   # dense-solve system residual
     resonance: float = 1e-12            # vanishing transfer coefficient cutoff
-    bisection: float = 1e-11            # sigma bisection interval width
     sigma_witness: float = 1e-9         # witness flow value / positivity slack
     multiplicity: float = 1e-8          # eigenvalue grouping width
     vanishing: float = 1e-7             # eigenvector vanishing threshold

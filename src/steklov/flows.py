@@ -7,8 +7,9 @@ dimensional; solve_flow builds it by a transfer recursion over the tree
 rooted at x, solve_flow_dense solves the equivalent square linear system as
 an independent oracle.  sigma(g, x) is the smallest lambda whose flow
 vanishes at x with positive gradients toward x; it is computed either from
-the spectral gap of the doubled graph or by bisection below the branch bound
-sigma1, and the two routes are kept strictly separate so they can check each
+the spectral gap of the doubled graph or by bisecting, to float resolution,
+the first lambda at which a transfer coefficient below x stops being
+positive.  The two routes are kept strictly separate so they can check each
 other.
 """
 
@@ -27,8 +28,8 @@ from .errors import (
     NormalizationFailure,
     ResonantLambda,
 )
-from .graphs import BoundaryGraph, _bfs, branch, double_at
-from .spectral import laplacian_apply, laplacian_matrix, steklov_spectrum
+from .graphs import BoundaryGraph, _bfs, double_at
+from .spectral import _steklov_residuals, laplacian_matrix, steklov_spectrum
 
 
 @dataclass(frozen=True)
@@ -220,17 +221,9 @@ def solve_flow_dense(
 
 def verify_flow(g: BoundaryGraph, flow: LambdaFlow) -> float:
     """Max residual of the defining equations away from the target."""
-    f = flow.values
-    lap = laplacian_apply(g, f)
-    res = 0.0
-    for v in range(g.n):
-        if v == flow.target:
-            continue
-        if v in g.boundary:
-            res = max(res, abs(lap[v] - flow.lam * f[v]))
-        else:
-            res = max(res, abs(lap[v]))
-    return res
+    res = _steklov_residuals(g, flow.values, flow.lam)
+    res[flow.target] = 0.0
+    return float(np.max(res))
 
 
 def edge_flow_residual(g: BoundaryGraph, flow: LambdaFlow) -> float:
@@ -305,48 +298,34 @@ def _check_witness(
         raise InternalFault(f"sigma witness fails positivity at lambda={sig!r}")
 
 
-def _sigma1(g: BoundaryGraph, x: int, tol: Tolerances) -> float:
-    """Smallest branch sigma at the neighbor x1 of x; inf for the single edge.
+def _first_zero(
+    g: BoundaryGraph, order: list[int], parent: list[int], tol: Tolerances
+) -> float:
+    """Least lambda at which a transfer coefficient of the walk order[1:]
+    stops being positive; inf when the walk is empty.
 
-    Branch v is v's subtree, with g rooted at x, plus v's parent, taken at
-    the parent; its own sigma1 is the least sigma of its children's branches."""
-    order, parent, _ = _bfs(g, x)
-    best = [math.inf] * g.n
-    for v in reversed(order[2:]):  # leaves first
-        p = parent[v]
-        sub, relabel = branch(g, v, p, closed=True).as_graph(g)
-        best[p] = min(best[p], _bisect(sub, relabel[p], best[v], tol).sigma)
-    return best[order[1]]
+    c_leaf = 1 - lambda and c_u = deg(u) - sum 1/c_k fall from 1 while the
+    children stay positive, and reach -inf as a child reaches 0, so "every c
+    is positive" holds exactly below one threshold.  It lies in (0, 1]: every
+    walk holds a leaf.  A resonance (a child c near 0) leaves that c or its
+    parent's c at or below 0.  Bisect to float resolution."""
+    if len(order) < 2:
+        return math.inf
 
+    def positive(lam: float) -> bool:
+        try:
+            pairs = _transfer(g, order, parent, lam, tol)
+        except ResonantLambda:
+            return False
+        return all(p.c > 0.0 for p in pairs.values())
 
-def _bisect(
-    g: BoundaryGraph, x: int, sigma1: float, tol: Tolerances
-) -> SigmaResult:
-    w = default_norm_vertex(g, x)
-    if g.n == 2:
-        witness = solve_flow(g, x, 1.0, w, tol)
-        return SigmaResult(sigma=1.0, method="bisection", witness=witness, sigma1=None)
-    # Below sigma1 every transfer coefficient under x's neighbor x1 is positive
-    # (c_leaf = 1 - lambda and c_u = deg(u) - sum 1/c_k fall, and cross 0 only
-    # through -inf), so f(w) > 0 and f(x) has the sign of c_x1, which falls
-    # from 1 to -inf: f(x) changes sign exactly once in (0, sigma1).  Stop once
-    # the bracket is narrow and the midpoint flow is a witness (steep flows
-    # need a narrower bracket than tol.bisection), or once it cannot shrink.
-    lo, hi = 0.0, sigma1
-    while True:
-        sig = (lo + hi) / 2.0
-        witness = _flow_with_retry(g, x, sig, w, tol)
-        val = float(witness.values[x])
-        if sig in (lo, hi) or (
-            hi - lo <= tol.bisection and abs(val) <= tol.sigma_witness
-        ):
-            break
-        if val > 0.0:
-            lo = sig
+    lo, hi = 0.0, 1.0
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        if positive(mid):
+            lo = mid
         else:
-            hi = sig
-    _check_witness(g, witness, sig, tol)
-    return SigmaResult(sigma=sig, method="bisection", witness=witness, sigma1=sigma1)
+            hi = mid
+    return hi
 
 
 def sigma(
@@ -358,25 +337,32 @@ def sigma(
     """Smallest lambda whose flow vanishes at x with positive gradients.
 
     method "doubling" reads it off the spectral gap of the graph doubled at
-    x (one eigensolve); method "bisection" bisects the flow value at x below
-    the branch bound sigma1.
+    x (one eigensolve); method "bisection" bisects the sign of the transfer
+    coefficients below x to float resolution (no eigensolve).
     """
     _require_flow_tree(g, x)
     if x not in g.boundary:
         raise GraphValidationError("sigma is evaluated at boundary vertices only")
-    if method == "bisection":
-        return _bisect(g, x, _sigma1(g, x, tol), tol)
-    if method != "doubling":
-        raise ValueError(f"unknown sigma method {method!r}")
     w = default_norm_vertex(g, x)
-    if g.n == 2:
+    if method == "bisection":
+        # f(x) has the sign of c at x's neighbor x1: sigma is where the walk
+        # below x stops being positive, sigma1 where the walk below x1 does
+        order, parent, _ = _bfs(g, x)
+        sig = _first_zero(g, order, parent, tol)
+        sigma1 = _first_zero(g, order[1:], parent, tol) if g.n > 2 else None
+        witness = solve_flow(g, x, sig, w, tol)
+    elif method != "doubling":
+        raise ValueError(f"unknown sigma method {method!r}")
+    elif g.n == 2:
         witness = solve_flow(g, x, 1.0, w, tol)
         return SigmaResult(sigma=1.0, method="doubling", witness=witness, sigma1=None)
-    doubled = double_at(g, x)
-    sig = steklov_spectrum(doubled.graph, tol).lambda2
-    witness = _flow_with_retry(g, x, sig, w, tol)
+    else:
+        doubled = double_at(g, x)
+        sig = steklov_spectrum(doubled.graph, tol).lambda2
+        sigma1 = None
+        witness = _flow_with_retry(g, x, sig, w, tol)
     _check_witness(g, witness, sig, tol)
-    return SigmaResult(sigma=sig, method="doubling", witness=witness, sigma1=None)
+    return SigmaResult(sigma=sig, method=method, witness=witness, sigma1=sigma1)
 
 
 def sigma_upper_bound(
@@ -386,7 +372,8 @@ def sigma_upper_bound(
     _require_flow_tree(g, x)
     if x not in g.boundary:
         raise GraphValidationError("sigma1 is defined at boundary vertices only")
-    return _sigma1(g, x, tol)
+    order, parent, _ = _bfs(g, x)
+    return _first_zero(g, order[1:], parent, tol)
 
 
 def flow_to_json(g: BoundaryGraph, flow: LambdaFlow) -> dict:

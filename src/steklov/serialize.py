@@ -12,8 +12,6 @@ degree-1 vertices.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .errors import ParseError
 from .graphs import BoundaryGraph, build
 
@@ -49,10 +47,22 @@ def from_edge_list(text: str, strict: bool = True) -> BoundaryGraph:
 
 
 def to_graph6(g: BoundaryGraph) -> str:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+    """The order, then the upper triangle column by column, six bits per
+    character; every character is offset by 63."""
+    n, edges = g.n, set(g.edges)
+    if n < 63:
+        head = [n]
+    elif n < 258048:
+        head = [63] + [(n >> s) & 63 for s in (12, 6, 0)]
+    else:
+        head = [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
+    bits = [(i, j) in edges for j in range(1, n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    body = [
+        sum(b << (5 - k) for k, b in enumerate(bits[t : t + 6]))
+        for t in range(0, len(bits), 6)
+    ]
+    return "".join(chr(c + 63) for c in head + body)
 
 
 def from_graph6(text: str, strict: bool = True) -> BoundaryGraph:
@@ -61,6 +71,8 @@ def from_graph6(text: str, strict: bool = True) -> BoundaryGraph:
         line = line[len(">>graph6<<") :]
     if not line:
         raise ParseError("empty graph6 input")
+    import networkx as nx
+
     try:
         h = nx.from_graph6_bytes(line.encode("ascii"))
     except (nx.NetworkXError, ValueError, UnicodeEncodeError) as exc:

@@ -242,22 +242,21 @@ def rayleigh(g: BoundaryGraph, f) -> float:
     return float(energy / mass)
 
 
-def check_steklov_system(g: BoundaryGraph, f, lam: float) -> float:
-    """Max residual of the eigenvalue system at (f, lam).
-
-    Interior rows check harmonicity, boundary rows check the spectral
-    condition; the normal derivative equals the Laplacian on the boundary
-    because no edge joins two boundary vertices.
-    """
+def _steklov_residuals(g: BoundaryGraph, f, lam: float) -> np.ndarray:
+    """Per-vertex residual of the eigenvalue system at (f, lam): |Lf| at
+    interior vertices, |Lf - lam f| at boundary vertices (the normal
+    derivative equals the Laplacian there, as no edge joins two boundary
+    vertices)."""
     f = np.asarray(f, dtype=float)
-    lap = laplacian_apply(g, f)
-    res = 0.0
-    for v in range(g.n):
-        if v in g.boundary:
-            res = max(res, abs(lap[v] - lam * f[v]))
-        else:
-            res = max(res, abs(lap[v]))
-    return res
+    res = laplacian_apply(g, f)
+    bnd = list(g.boundary)
+    res[bnd] -= lam * f[bnd]
+    return np.abs(res)
+
+
+def check_steklov_system(g: BoundaryGraph, f, lam: float) -> float:
+    """Max residual of the eigenvalue system at (f, lam)."""
+    return float(np.max(_steklov_residuals(g, f, lam)))
 
 
 def normal_derivative(g: BoundaryGraph, f) -> np.ndarray:

@@ -360,3 +360,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0 0.5"
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # only hunts enumerate graphs; every other command runs without networkx
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import steklov
+
+    src = str(Path(steklov.__file__).resolve().parent.parent)
+    code = "import sys, steklov.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -265,8 +265,8 @@ def test_sigma_routes_agree_random():
 
 
 def test_sigma_bisection_on_steep_flow():
-    # near sigma the flow at vertex 0 is so steep that a bracket of width
-    # tol.bisection still leaves |f(0)| above the witness bound
+    # near sigma the flow at vertex 0 is so steep that a lambda-bracket of
+    # width 1e-11 leaves |f(0)| above the witness bound
     g = random_tree(30, 2)
     b = sigma(g, 0, method="bisection")
     assert abs(b.witness.values[0]) <= DEFAULT_TOLERANCES.sigma_witness
@@ -274,12 +274,29 @@ def test_sigma_bisection_on_steep_flow():
 
 
 def test_sigma_routes_agree_large_trees():
-    for n in range(30, 61, 5):
+    for n in (*range(30, 61, 5), 80, 120, 160, 200):
         g = random_tree(n, n)
         for x in (min(g.boundary), max(g.boundary)):
             d = sigma(g, x, method="doubling").sigma
             b = sigma(g, x, method="bisection").sigma
-            assert abs(d - b) < 1e-8
+            assert abs(d - b) < 1e-10
+
+
+def test_sigma_bisection_solves_one_flow(monkeypatch):
+    # the bisection probes the transfer coefficients; only the witness is a flow
+    calls = []
+    solve = flows.solve_flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "solve_flow", counted)
+    cases = [(g, x) for g, x, _ in FROZEN_SIGMA]
+    for g, x in cases + [(random_tree(30, 2), 0), (path_tree(257), 0)]:
+        calls.clear()
+        sigma(g, x, method="bisection")
+        assert len(calls) == 1
 
 
 def test_sigma_bisection_long_path_skips_the_doubling_route(monkeypatch):
@@ -367,7 +384,9 @@ def test_sigma_validation():
 
 def test_sigma_upper_bound_values():
     assert sigma_upper_bound(path_tree(1), 0) == math.inf
-    assert abs(sigma_upper_bound(path_tree(2), 0) - 1.0) < 1e-12
+    # sigma1 at a path's leaf is sigma of the path one edge shorter
+    for L in range(2, 41):
+        assert abs(sigma_upper_bound(path_tree(L), 0) - 1.0 / (L - 1)) < 1e-15
     with pytest.raises(GraphValidationError):
         sigma_upper_bound(path_tree(2), 1)
 

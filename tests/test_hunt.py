@@ -9,6 +9,7 @@ import pytest
 from steklov import (
     HuntConfig,
     HuntReport,
+    InternalFault,
     add_pendant,
     enumerate_graphs,
     enumerate_trees,
@@ -67,16 +68,18 @@ def test_enumerate_graphs_n7_count():
 
 
 def test_enumerate_graphs_reads_the_atlas_once(monkeypatch):
+    import networkx
+
     from steklov import hunt
 
     reads = []
-    atlas = hunt.nx.graph_atlas_g
+    atlas = networkx.graph_atlas_g
 
     def counted():
         reads.append(1)
         return atlas()
 
-    monkeypatch.setattr(hunt.nx, "graph_atlas_g", counted)
+    monkeypatch.setattr(networkx, "graph_atlas_g", counted)
     hunt._atlas.cache_clear()
     for n in range(3, 8):
         assert sum(1 for _ in enumerate_graphs(n)) == GRAPH_COUNTS[n]
@@ -166,6 +169,14 @@ def test_find_fig1_values():
     assert pair.violating_k == [2]
     assert pair.g1.is_tree and not pair.g2.is_tree
     assert pair.g2.n == 6 and pair.g1.n == 5
+
+
+def test_find_fig1_failed_validation_is_a_fault(monkeypatch):
+    from steklov import hunt
+
+    monkeypatch.setattr(hunt, "REVERIFY_TOL", -1.0)
+    with pytest.raises(InternalFault):
+        find_fig1(6)
 
 
 def test_find_fig1_rejects_small_n():

@@ -1,5 +1,7 @@
 """Round trips and error paths for the three exchange formats."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,21 @@ def test_graph6_errors():
 def test_graph6_round_trip_random(n, seed):
     g = random_tree(n, seed)
     assert from_graph6(to_graph6(g)).edges == g.edges
+
+
+def test_graph6_matches_networkx():
+    # orders to 62 take one header character, larger ones four; every
+    # padding length shows below 100 (networkx needs 10 s for all n to 300)
+    nx = pytest.importorskip("networkx")
+    sizes = [*range(3, 101), 200, 299, 300]
+    graphs = [path_tree(1)] + [random_tree(n, n) for n in sizes]
+    for n in range(3, 12):  # complete graphs set every bit
+        graphs.append(build(n, itertools.combinations(range(n), 2), boundary={0}))
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert to_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip()
 
 
 def test_to_dot_marks_boundary():
