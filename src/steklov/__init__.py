@@ -56,6 +56,7 @@ from .spectral import (
     laplacian_matrix,
     normal_derivative,
     rayleigh,
+    steklov_spectra,
     steklov_spectrum,
 )
 from .flows import (

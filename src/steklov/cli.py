@@ -258,6 +258,8 @@ def cmd_hunt(args, parser, tol: Tolerances) -> int:
         if args.out:
             Path(args.out).write_text(json.dumps(pair.to_json(), indent=1) + "\n")
         return 0
+    if args.nmax is None:
+        args.hunt_parser.error("the following arguments are required: --nmax")
     k_min = args.kmin if args.kmin else (3 if args.problem == "1" else 2)
     cfg = HuntConfig(
         problem=args.problem,
@@ -356,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("hunt", help="counterexample search campaigns")
     p.add_argument("problem", choices=["1", "2", "fig1"])
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=int, help="largest order searched (problems 1 and 2)")
     p.add_argument("--kmin", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the report JSON here")
     p.add_argument("--resume", help="resume from a saved report")
-    p.set_defaults(func=cmd_hunt)
+    p.set_defaults(func=cmd_hunt, hunt_parser=p)
 
     p = add_parser("generate", help="emit a graph in a chosen encoding")
     _add_input_opts(p, formats=("table", "json", "dot", "graph6"))

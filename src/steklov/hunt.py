@@ -10,9 +10,13 @@ and records every violation as a self-contained, re-verifiable pair.
 
 Runs are deterministic given the config: instance idx -> content is a pure
 function of (problem, n_max, seed), so a report can be resumed from its
-cursor and a parallel run merges to byte-identical results.  networkx
-and the process pool are imported where a hunt first needs them, so the
-rest of the package runs without loading either.
+cursor and a parallel run merges to byte-identical results.  Pending
+instances are evaluated in fixed chunks of CHUNK: each chunk makes one
+batched `steklov_spectra` call over its distinct base graphs and all its
+grown graphs, and `--workers` maps chunks to processes.  The batched
+kernel is bit-identical to one graph at a time, so chunking never changes
+a report.  networkx and the process pool are imported where a hunt first
+needs them, so the rest of the package runs without loading either.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InternalFault
 from .graphs import BoundaryGraph, add_pendant, build, random_tree
 from .serialize import to_edge_list
-from .spectral import steklov_spectrum
+from .spectral import steklov_spectra, steklov_spectrum
 
 VIOLATION_TOL = 1e-8
 REVERIFY_TOL = 1e-9
+CHUNK = 256  # instances per batched eigensolve; bounds a chunk's memory
 
 _HIST_EDGES = (-math.inf, -1e-8, 0.0, 1e-4, 1e-2, 0.1, 0.5, math.inf)
 
@@ -159,6 +164,25 @@ def _graph_from_doc(doc: dict) -> BoundaryGraph:
     )
 
 
+def _compare(
+    g1: BoundaryGraph,
+    g2: BoundaryGraph,
+    attachment: int | None,
+    relation: str,
+    w1: list[float],
+    w2: list[float],
+    k_min: int,
+    k_max: int | None,
+) -> CandidatePair:
+    """The pair with margins lambda_k(g1) - lambda_k(g2) for every shared
+    index k in the window, from the two ascending spectra."""
+    top = min(len(w1), len(w2))
+    if k_max is not None:
+        top = min(top, k_max)
+    margins = {k: w1[k - 1] - w2[k - 1] for k in range(k_min, top + 1)}
+    return CandidatePair(g1, g2, attachment, relation, tuple(w1), tuple(w2), margins)
+
+
 def make_pair(
     g1: BoundaryGraph,
     g2: BoundaryGraph,
@@ -169,23 +193,9 @@ def make_pair(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CandidatePair:
     """Compare lambda_k(g1) against lambda_k(g2) for every shared index k."""
-    s1 = steklov_spectrum(g1, tol)
-    s2 = steklov_spectrum(g2, tol)
-    top = min(len(s1.eigenvalues), len(s2.eigenvalues))
-    if k_max is not None:
-        top = min(top, k_max)
-    margins = {
-        k: s1.lambda_k(k) - s2.lambda_k(k) for k in range(k_min, top + 1)
-    }
-    return CandidatePair(
-        g1=g1,
-        g2=g2,
-        attachment=attachment,
-        relation=relation,
-        eigenvalues1=tuple(float(w) for w in s1.eigenvalues),
-        eigenvalues2=tuple(float(w) for w in s2.eigenvalues),
-        margins=margins,
-    )
+    w1 = steklov_spectrum(g1, tol).eigenvalues.tolist()
+    w2 = steklov_spectrum(g2, tol).eigenvalues.tolist()
+    return _compare(g1, g2, attachment, relation, w1, w2, k_min, k_max)
 
 
 def reverify(pair: CandidatePair, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -387,12 +397,23 @@ def _exhaustive_instances(cfg: HuntConfig) -> list[tuple]:
     return out
 
 
-def _eval_instance(payload: tuple) -> tuple[int, float, dict | None]:
-    """Worker body: one pendant addition, one spectral comparison."""
-    idx, g1, x, k_min, k_max, tol = payload
-    pair = make_pair(g1, add_pendant(g1, x), x, "pendant", k_min, k_max, tol)
-    doc = pair.to_json() if pair.min_margin < -VIOLATION_TOL else None
-    return idx, pair.min_margin, doc
+def _eval_chunk(payload: tuple) -> list[tuple[float, dict | None]]:
+    """Worker body: a chunk of pendant instances in one batched eigensolve.
+
+    Each distinct base graph is solved once; every grown graph is solved.
+    Returns (min margin, violation document or None) per instance, in order.
+    """
+    instances, k_min, k_max, tol = payload
+    bases = list(dict.fromkeys(g1 for g1, _x in instances))
+    grown = [add_pendant(g1, x) for g1, x in instances]
+    eigs = [s.eigenvalues.tolist() for s in steklov_spectra(bases + grown, tol)]
+    base_eigs = dict(zip(bases, eigs))
+    out = []
+    for (g1, x), g2, w2 in zip(instances, grown, eigs[len(bases):]):
+        pair = _compare(g1, g2, x, "pendant", base_eigs[g1], w2, k_min, k_max)
+        doc = pair.to_json() if pair.min_margin < -VIOLATION_TOL else None
+        out.append((pair.min_margin, doc))
+    return out
 
 
 def _run_hunt(
@@ -424,24 +445,25 @@ def _run_hunt(
         inst = _instance(cfg, idx, exhaustive)
         if inst is None:
             break
-        g1, x = inst
-        pending.append((idx, g1, x, cfg.k_min, cfg.k_max, tol))
+        pending.append(inst)
         idx += 1
 
-    if cfg.workers > 1 and len(pending) > 1:
+    payloads = [
+        (pending[i : i + CHUNK], cfg.k_min, cfg.k_max, tol)
+        for i in range(0, len(pending), CHUNK)
+    ]
+    if cfg.workers > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_eval_instance, pending, chunksize=8))
+            chunks = list(pool.map(_eval_chunk, payloads))
     else:
-        results = [_eval_instance(p) for p in pending]
-    results.sort(key=lambda r: r[0])
-
-    for _idx, margin, doc in results:
+        chunks = [_eval_chunk(p) for p in payloads]
+    for margin, doc in (r for chunk in chunks for r in chunk):
         _hist_add(histogram, margin)
         if doc is not None:
             violations.append(CandidatePair.from_json(doc))
-    examined += len(results)
+    examined += len(pending)
     cursor = idx
     exhausted = _instance(cfg, cursor, exhaustive) is None
     status = "complete" if exhausted else "budget_exhausted"
@@ -493,15 +515,18 @@ def _delete_vertex(g: BoundaryGraph, v: int) -> BoundaryGraph:
     return build(len(keep), edges, boundary=None)
 
 
-def find_fig1(n_max: int, tol: Tolerances = DEFAULT_TOLERANCES) -> CandidatePair:
+def find_fig1(
+    n_max: int | None = None, tol: Tolerances = DEFAULT_TOLERANCES
+) -> CandidatePair:
     """A subgraph pair on general graphs where the gap moves the wrong way:
     lambda_2 rises from 1/2 to 2/3 when the deleted cycle vertex returns.
 
     The known reconstruction is a 4-cycle with pendants on opposite corners,
     against the 5-path left by removing a bare cycle vertex.  Its values are
     closed forms, so a failed validation is a fault of the spectral code.
+    The pair has 6 vertices; n_max, if given, must leave room for it.
     """
-    if n_max < 6:
+    if n_max is not None and n_max < 6:
         raise ValueError("n_max must be >= 6")
     cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
     g2 = build(6, cycle + [(0, 4), (2, 5)], boundary=None)

@@ -5,18 +5,35 @@ Laplacian.  Its eigendecomposition is LAPACK's symmetric solver through
 numpy, with the sign of each eigenvector fixed so output is deterministic;
 a cyclic Jacobi solver in the test suite serves as the independent
 reference.  Boundary data is always ordered by ascending vertex id.
+
+One kernel serves every caller: `steklov_spectra` groups its graphs by
+(n, boundary size) and solves each group as a stack.  The Laplacian blocks
+come from one scatter of the edge lists, the Schur complements from one
+stacked solve and matmul, the eigenpairs from one stacked `eigh`, and the
+symmetry, row-sum and residual checks are stacked reductions.  LAPACK runs
+the same routine on each matrix of a stack, so a batch gives bit-identical
+results to one graph at a time; `steklov_spectrum` and `dtn_matrix` are
+batches of one.  Hunts batch a chunk of instances per call, which pays the
+numpy call overhead once per group and not once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import EigensolverError, GraphValidationError, InternalFault
 from .graphs import BoundaryGraph
+
+ZERO_SNAP = 1e-12  # |eigenvalue| below this reads as 0
+LAMBDA1_ZERO = 1e-10  # bound on |lambda_1| of a strict graph
+LAMBDA2_FLOOR = 1e-11  # lambda_2 of a strict graph lies above this
+LAMBDA_MAX_SLACK = 1e-9  # lambda_max of a strict graph is at most 1 + this
 
 
 def laplacian_matrix(g: BoundaryGraph) -> np.ndarray:
@@ -83,6 +100,66 @@ def harmonic_extension(
     return f
 
 
+def _groups(graphs: list[BoundaryGraph]) -> list[list[int]]:
+    """Input positions grouped by (n, boundary size), the shape of a stack."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, g in enumerate(graphs):
+        if not g.boundary:
+            raise GraphValidationError("graph has no boundary")
+        groups.setdefault((g.n, len(g.boundary)), []).append(i)
+    return list(groups.values())
+
+
+def _dtn_stack(graphs: list[BoundaryGraph], tol: Tolerances) -> np.ndarray:
+    """DtN matrices, stacked, of graphs that share n and the boundary size.
+
+    Each graph's vertices are ordered as its sorted boundary, then its
+    sorted interior.  One scatter of the edge lists assembles every
+    Laplacian; one stacked solve and one matmul give the Schur complements;
+    the symmetry and row-sum checks are stacked reductions, and the first
+    flagged graph of the stack raises.
+    """
+    count, n, b = len(graphs), graphs[0].n, len(graphs[0].boundary)
+    # rank[i, v]: place of vertex v in graph i's order (a stable sort of keys
+    # 0 for boundary, 1 for interior keeps each class ascending)
+    key = np.ones(count * n, dtype=np.int8)
+    key[[i * n + v for i, g in enumerate(graphs) for v in g.boundary]] = 0
+    rank = np.argsort(np.argsort(key.reshape(count, n), axis=1, kind="stable"), axis=1)
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.intp
+    ).reshape(-1, 2)
+    first = np.repeat(np.arange(0, count * n, n), [len(g.edges) for g in graphs])[:, None]
+    pos = rank.ravel()[ends + first]
+    row = (pos + first) * n  # flat offset of each end's row in the stack
+    size = count * n * n
+    lap = np.bincount((row + pos).ravel(), minlength=size) - np.bincount(
+        (row + pos[:, ::-1]).ravel(), minlength=size
+    )
+    lap = lap.astype(float).reshape(count, n, n)
+    if b < n:
+        # each L_BI contiguous, as a lone matrix would be, so BLAS sees the
+        # same layout in a stack as in a batch of one
+        lap_bi = np.ascontiguousarray(lap[:, :b, b:])
+        try:
+            sol = np.linalg.solve(lap[:, b:, b:], lap_bi.transpose(0, 2, 1))
+        except np.linalg.LinAlgError as exc:
+            raise InternalFault(f"singular interior block: {exc}") from None
+        mat = lap[:, :b, :b] - lap_bi @ sol
+    else:
+        mat = lap
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(1, 2)))
+    asym = np.abs(mat - mat.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = asym > tol.dtn_symmetry * scale
+    if bad.any():
+        raise InternalFault(f"DtN asymmetry {asym[bad.argmax()]:.3e} out of bounds")
+    mat = (mat + mat.transpose(0, 2, 1)) / 2.0
+    rowsum = np.abs(mat.sum(axis=2)).max(axis=1)
+    bad = rowsum > tol.dtn_rowsum * scale
+    if bad.any():
+        raise InternalFault(f"DtN row sums {rowsum[bad.argmax()]:.3e} out of bounds")
+    return mat
+
+
 @dataclass(frozen=True)
 class DtnMatrix:
     boundary: tuple[int, ...]
@@ -94,31 +171,9 @@ class DtnMatrix:
 
 def dtn_matrix(g: BoundaryGraph, tol: Tolerances = DEFAULT_TOLERANCES) -> DtnMatrix:
     """Schur complement of the interior block of the Laplacian."""
-    if len(g.boundary) < 1:
+    if not g.boundary:
         raise GraphValidationError("graph has no boundary")
-    lap = laplacian_matrix(g)
-    bnd = list(g.boundary_sorted())
-    interior = sorted(g.interior)
-    if interior:
-        lap_bb = lap[np.ix_(bnd, bnd)]
-        lap_bi = lap[np.ix_(bnd, interior)]
-        lap_ii = lap[np.ix_(interior, interior)]
-        try:
-            sol = np.linalg.solve(lap_ii, lap_bi.T)
-        except np.linalg.LinAlgError as exc:
-            raise InternalFault(f"singular interior block: {exc}") from None
-        mat = lap_bb - lap_bi @ sol
-    else:
-        mat = lap[np.ix_(bnd, bnd)]
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > tol.dtn_symmetry * scale:
-        raise InternalFault(f"DtN asymmetry {asym:.3e} out of bounds")
-    mat = (mat + mat.T) / 2.0
-    rowsum = float(np.max(np.abs(mat.sum(axis=1))))
-    if rowsum > tol.dtn_rowsum * scale:
-        raise InternalFault(f"DtN row sums {rowsum:.3e} out of bounds")
-    return DtnMatrix(boundary=tuple(bnd), matrix=mat)
+    return DtnMatrix(boundary=g.boundary_sorted(), matrix=_dtn_stack([g], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -186,45 +241,77 @@ class Spectrum:
         return doc
 
 
+def _range_notes(g: BoundaryGraph, w: np.ndarray) -> tuple[str, ...]:
+    """A strict graph's spectrum lies in [0, 1] with lambda_1 = 0 < lambda_2;
+    a relaxed graph may leave that range, and gets notes saying where."""
+    high = w[-1] > 1.0 + LAMBDA_MAX_SLACK
+    flat = len(w) >= 2 and w[1] <= LAMBDA2_FLOOR
+    if g.strict:
+        if abs(w[0]) > LAMBDA1_ZERO:
+            raise InternalFault(f"lambda_1 = {w[0]:.3e} is not zero")
+        if flat:
+            raise InternalFault(f"lambda_2 = {w[1]:.3e} is not positive")
+        if high:
+            raise InternalFault(f"lambda_max = {w[-1]:.12f} exceeds 1")
+        return ()
+    notes = []
+    if high:
+        notes.append(f"relaxed graph: lambda_max = {w[-1]:.6g} exceeds 1")
+    if flat:
+        notes.append("relaxed graph: lambda_2 is not positive")
+    return tuple(notes)
+
+
+def steklov_spectra(
+    graphs: Iterable[BoundaryGraph], tol: Tolerances = DEFAULT_TOLERANCES
+) -> list[Spectrum]:
+    """Full DtN eigendecompositions with invariant checks, in input order.
+
+    Graphs that share n and the boundary size are solved as one stack: one
+    DtN stage, one stacked eigh, and stacked checks.  LAPACK runs the same
+    routine on each matrix of a stack, so every result is bit-identical to a
+    batch of one.  A graph that fails a check raises its typed error, with
+    the message a batch of one would give; which graph raises, when several
+    fail, is not specified.
+    """
+    graphs = list(graphs)
+    spectra: list = [None] * len(graphs)
+    for idxs in _groups(graphs):
+        group = [graphs[i] for i in idxs]
+        mat = _dtn_stack(group, tol)
+        try:
+            w, vec = np.linalg.eigh(mat)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"LAPACK eigh failed: {exc}") from None
+        # deterministic sign: largest-magnitude entry of each column positive
+        top = np.argmax(np.abs(vec), axis=1)
+        lead = vec[np.arange(len(group))[:, None], top, np.arange(w.shape[1])]
+        vec = vec * np.where(lead < 0, -1.0, 1.0)[:, None, :]
+        scale = np.maximum(1.0, np.abs(mat).max(axis=(1, 2)))
+        residual = np.abs(mat @ vec - vec * w[:, None, :]).max(axis=(1, 2))
+        bad = residual > tol.eigen_residual * scale
+        if bad.any():
+            raise EigensolverError(
+                f"eigen residual {residual[bad.argmax()]:.3e} out of bounds"
+            )
+        w = np.where(np.abs(w) < ZERO_SNAP, 0.0, w)
+
+        for j, (i, g) in enumerate(zip(idxs, group)):
+            spectra[i] = Spectrum(
+                graph=g,
+                boundary=g.boundary_sorted(),
+                eigenvalues=w[j],
+                vectors=vec[j],
+                notes=_range_notes(g, w[j]),
+            )
+    return spectra
+
+
 def steklov_spectrum(
     g: BoundaryGraph, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Spectrum:
     """Full DtN eigendecomposition with invariant checks."""
-    dtn = dtn_matrix(g, tol)
-    try:
-        w, vec = np.linalg.eigh(dtn.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"LAPACK eigh failed: {exc}") from None
-    # deterministic sign: largest-magnitude entry of each column positive
-    top = np.argmax(np.abs(vec), axis=0)
-    vec = vec * np.where(vec[top, np.arange(len(w))] < 0, -1.0, 1.0)
-    scale = max(1.0, float(np.max(np.abs(dtn.matrix))))
-    residual = float(np.max(np.abs(dtn.matrix @ vec - vec * w)))
-    if residual > tol.eigen_residual * scale:
-        raise EigensolverError(f"eigen residual {residual:.3e} out of bounds")
-    w = np.where(np.abs(w) < 1e-12, 0.0, w)
-
-    notes = []
-    b = len(dtn.boundary)
-    if g.strict:
-        if abs(w[0]) > 1e-10:
-            raise InternalFault(f"lambda_1 = {w[0]:.3e} is not zero")
-        if b >= 2 and w[1] <= 1e-11:
-            raise InternalFault(f"lambda_2 = {w[1]:.3e} is not positive")
-        if w[-1] > 1.0 + 1e-9:
-            raise InternalFault(f"lambda_max = {w[-1]:.12f} exceeds 1")
-    else:
-        if w[-1] > 1.0 + 1e-9:
-            notes.append(f"relaxed graph: lambda_max = {w[-1]:.6g} exceeds 1")
-        if b >= 2 and w[1] <= 1e-11:
-            notes.append("relaxed graph: lambda_2 is not positive")
-    return Spectrum(
-        graph=g,
-        boundary=dtn.boundary,
-        eigenvalues=w,
-        vectors=vec,
-        notes=tuple(notes),
-    )
+    return steklov_spectra([g], tol)[0]
 
 
 def lambda2(g: BoundaryGraph, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

@@ -227,6 +227,20 @@ def test_hunt_fig1(capsys, tmp_path):
     assert doc["relation"] == "vertex_deletion"
 
 
+def test_hunt_fig1_without_nmax(capsys):
+    rc, out, _ = run(capsys, "hunt", "fig1")
+    assert rc == 0
+    assert out == run(capsys, "hunt", "fig1", "--nmax", "6")[1]
+
+
+@pytest.mark.parametrize("problem", ["1", "2"])
+def test_hunt_needs_nmax(capsys, problem):
+    with pytest.raises(SystemExit) as exc:
+        main(["hunt", problem, "--budget", "5"])
+    assert exc.value.code == 2
+    assert "required: --nmax" in capsys.readouterr().err
+
+
 def test_hunt_problem1_summary(capsys):
     rc, out, _ = run(
         capsys, "hunt", "1", "--nmax", "6", "--kmin", "2", "--budget", "1000"
@@ -254,11 +268,12 @@ def test_hunt_resume_via_cli(capsys, tmp_path):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_hunt_honors_tolerance_overrides(capsys, monkeypatch, workers):
-    # an impossible residual bound must reach every hunt worker
+    # an impossible residual bound must reach every hunt worker; 300
+    # instances make two chunks, so two workers both get one
     monkeypatch.setenv("STEKLOV_TOL_EIGEN_RESIDUAL", "0")
     rc, _, err = run(
         capsys,
-        "hunt", "1", "--nmax", "7", "--budget", "100", "--kmin", "2",
+        "hunt", "1", "--nmax", "9", "--budget", "300", "--kmin", "2",
         "--workers", workers,
     )
     assert rc == 1

@@ -184,6 +184,10 @@ def test_find_fig1_rejects_small_n():
         find_fig1(5)
 
 
+def test_find_fig1_needs_no_bound():
+    assert find_fig1().to_json() == find_fig1(6).to_json() == find_fig1(12).to_json()
+
+
 # ---------------------------------------------------------------------------
 # hunts: determinism, workers, resume, gates
 
@@ -339,3 +343,103 @@ def test_instance_stream_ignores_budget():
         ia, ib = _instance(a, idx, ex_a), _instance(b, idx, ex_b)
         assert ia is not None and ib is not None
         assert ia[0] == ib[0] and ia[1] == ib[1]
+
+
+# ---------------------------------------------------------------------------
+# chunked evaluation against instance-by-instance recomputation
+
+
+def _recompute(cfg: HuntConfig) -> dict:
+    """The report of cfg rebuilt one instance at a time through make_pair."""
+    from steklov.hunt import (
+        VIOLATION_TOL,
+        _empty_histogram,
+        _exhaustive_instances,
+        _hist_add,
+        _instance,
+    )
+
+    exhaustive = _exhaustive_instances(cfg)
+    hist, violations, idx = _empty_histogram(), [], 0
+    while idx < cfg.budget:
+        inst = _instance(cfg, idx, exhaustive)
+        if inst is None:
+            break
+        g1, x = inst
+        pair = make_pair(g1, add_pendant(g1, x), x, "pendant", cfg.k_min, cfg.k_max)
+        _hist_add(hist, pair.min_margin)
+        if pair.min_margin < -VIOLATION_TOL:
+            violations.append(pair.to_json())
+        idx += 1
+    done = _instance(cfg, idx, exhaustive) is None
+    return {
+        "config": cfg.to_json(),
+        "instances": idx,
+        "violations": violations,
+        "histogram": hist,
+        "status": "complete" if done else "budget_exhausted",
+        "cursor": idx,
+        "anomalies": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "problem, n_max, budget", [("1", 12, 2000), ("2", 9, 600)]
+)
+def test_chunked_hunt_equals_instance_by_instance(problem, n_max, budget):
+    cfg = HuntConfig(problem=problem, n_max=n_max, k_min=2, budget=budget)
+    runner = hunt_problem1 if problem == "1" else hunt_problem2
+    assert _strip_time(runner(cfg)) == _recompute(cfg)
+
+
+def test_chunked_violation_documents_match(monkeypatch):
+    # a negative bound turns every margin below 0.05 into a "violation", so
+    # the chunk's violation documents are compared pair by pair
+    from steklov import hunt
+
+    monkeypatch.setattr(hunt, "VIOLATION_TOL", -0.05)
+    cfg = HuntConfig(problem="2", n_max=8, k_min=2, budget=400)
+    report = _strip_time(hunt_problem2(cfg))
+    assert len(report["violations"]) > 100
+    assert report == _recompute(cfg)
+
+
+def test_resume_across_a_chunk_boundary():
+    base = dict(problem="1", n_max=12, k_min=2, seed=7)
+    full = hunt_problem1(HuntConfig(**base, budget=600))
+    first = hunt_problem1(HuntConfig(**base, budget=200))
+    resumed = hunt_problem1(HuntConfig(**base, budget=600), resume=first)
+    assert _strip_time(resumed) == _strip_time(full)
+
+
+def test_workers_map_chunks():
+    # 300 instances: one full chunk and a 44-instance tail
+    base = dict(problem="1", n_max=12, k_min=2, budget=300, seed=2)
+    solo = _strip_time(hunt_problem1(HuntConfig(**base, workers=1)))
+    duo = _strip_time(hunt_problem1(HuntConfig(**base, workers=2)))
+    solo["config"].pop("workers")
+    duo["config"].pop("workers")
+    assert solo == duo
+
+
+def test_one_batched_solve_per_chunk(monkeypatch):
+    from steklov import hunt
+    from steklov.config import DEFAULT_TOLERANCES
+
+    sizes = []
+    batched = hunt.steklov_spectra
+
+    def counted(graphs, tol):
+        graphs = list(graphs)
+        sizes.append(len(graphs))
+        return batched(graphs, tol)
+
+    monkeypatch.setattr(hunt, "steklov_spectra", counted)
+    hunt_problem1(HuntConfig(problem="1", n_max=12, k_min=2, budget=600))
+    assert len(sizes) == 3  # chunks of 256, 256 and 88 instances
+
+    sizes.clear()
+    g = path_tree(9)
+    out = hunt._eval_chunk(([(g, x) for x in range(10)], 2, None, DEFAULT_TOLERANCES))
+    assert sizes == [11]  # the base tree once, and ten grown trees
+    assert len(out) == 10

@@ -15,12 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov import (
+    BoundaryGraph,
     EigensolverError,
+    GraphValidationError,
+    InternalFault,
+    Tolerances,
     ball,
     build,
     check_steklov_system,
     double_ball,
     dtn_matrix,
+    enumerate_graphs,
     green_identity_gap,
     harmonic_extension,
     lambda2,
@@ -31,8 +36,10 @@ from steklov import (
     random_tree,
     rayleigh,
     star,
+    steklov_spectra,
     steklov_spectrum,
 )
+from steklov import spectral
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +287,100 @@ def test_spectrum_lapack_failure_is_typed(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigensolverError, match="did not converge"):
         steklov_spectrum(star(3))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against per-graph arithmetic
+
+
+def _reference_spectrum(g):
+    """One graph at a time: dense Laplacian, np.ix_ blocks, solve, eigh, and
+    the sign rule and zero snap, in the order the kernel's contract states."""
+    lap = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        lap[u, u] += 1.0
+        lap[v, v] += 1.0
+        lap[u, v] -= 1.0
+        lap[v, u] -= 1.0
+    bnd = list(g.boundary_sorted())
+    interior = sorted(g.interior)
+    if interior:
+        lap_bi = lap[np.ix_(bnd, interior)]
+        sol = np.linalg.solve(lap[np.ix_(interior, interior)], lap_bi.T)
+        mat = lap[np.ix_(bnd, bnd)] - lap_bi @ sol
+    else:
+        mat = lap[np.ix_(bnd, bnd)]
+    mat = (mat + mat.T) / 2.0
+    w, vec = np.linalg.eigh(mat)
+    top = np.argmax(np.abs(vec), axis=0)
+    vec = vec * np.where(vec[top, np.arange(len(w))] < 0, -1.0, 1.0)
+    return mat, np.where(np.abs(w) < 1e-12, 0.0, w), vec
+
+
+def _mixed_graphs():
+    rng = np.random.default_rng(9)
+    graphs = [random_tree(n, int(rng.integers(2**31))) for n in range(3, 41) for _ in range(5)]
+    graphs += list(enumerate_graphs(6))
+    graphs += [
+        double_ball(2, 1),
+        build(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)], boundary={0, 5}),
+        path_tree(1),  # relaxed: two boundary vertices, empty interior
+    ]
+    graphs += graphs[::25]  # duplicates by value and by identity
+    graphs += [random_tree(12, 5), random_tree(12, 5)]
+    return graphs
+
+
+def test_spectra_bit_identical_to_per_graph_arithmetic():
+    graphs = _mixed_graphs()
+    assert len(graphs) > 250
+    for g, s in zip(graphs, steklov_spectra(graphs)):
+        mat, w, vec = _reference_spectrum(g)
+        assert np.array_equal(s.eigenvalues, w)
+        assert np.array_equal(s.vectors, vec)
+        assert s.graph is g and s.boundary == g.boundary_sorted()
+        assert np.array_equal(dtn_matrix(g).matrix, mat)
+
+
+def test_spectra_independent_of_batch_order_and_size():
+    graphs = _mixed_graphs()
+    batched = steklov_spectra(graphs)
+    perm = np.random.default_rng(3).permutation(len(graphs))
+    shuffled = steklov_spectra([graphs[i] for i in perm])
+    for k, i in enumerate(perm):
+        assert np.array_equal(shuffled[k].eigenvalues, batched[i].eigenvalues)
+        assert np.array_equal(shuffled[k].vectors, batched[i].vectors)
+    for g, s in zip(graphs[::7], batched[::7]):
+        (one,) = steklov_spectra([g])
+        assert np.array_equal(one.eigenvalues, s.eigenvalues)
+        assert np.array_equal(one.vectors, s.vectors)
+        assert one.notes == s.notes
+    assert steklov_spectra([]) == []
+
+
+def test_spectra_notes_follow_each_graph():
+    edge, p3 = path_tree(1), path_tree(2)
+    notes = [s.notes for s in steklov_spectra([p3, edge, p3])]
+    assert notes[0] == notes[2] == ()
+    assert any("exceeds 1" in note for note in notes[1])
+
+
+def test_spectra_errors_are_typed_inside_a_batch():
+    graphs = [random_tree(n, n) for n in range(4, 20)]
+    with pytest.raises(EigensolverError, match="eigen residual"):
+        steklov_spectra(graphs, Tolerances(eigen_residual=0))
+    bare = BoundaryGraph(3, ((0, 1), (1, 2)), frozenset())
+    with pytest.raises(GraphValidationError, match="no boundary"):
+        steklov_spectra(graphs + [bare])
+    with pytest.raises(GraphValidationError, match="no boundary"):
+        dtn_matrix(bare)
+
+
+def test_spectra_range_checks_inside_a_batch(monkeypatch):
+    # path_tree(3) has spectrum {0, 2/3}
+    monkeypatch.setattr(spectral, "LAMBDA2_FLOOR", 0.7)
+    with pytest.raises(InternalFault, match="lambda_2"):
+        steklov_spectra([random_tree(9, 1), path_tree(3)])
 
 
 # ---------------------------------------------------------------------------
