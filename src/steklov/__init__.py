@@ -49,13 +49,10 @@ from .spectral import (
     Spectrum,
     check_steklov_system,
     dtn_matrix,
-    green_identity_gap,
     harmonic_extension,
     lambda2,
     laplacian_apply,
     laplacian_matrix,
-    normal_derivative,
-    rayleigh,
     steklov_spectra,
     steklov_spectrum,
 )
@@ -70,7 +67,6 @@ from .flows import (
     sigma,
     sigma_upper_bound,
     solve_flow,
-    solve_flow_dense,
     transfer_pairs,
     verify_flow,
 )

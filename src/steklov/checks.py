@@ -37,6 +37,9 @@ from .graphs import (
 from .serialize import to_graph6
 from .spectral import steklov_spectrum
 
+STRICT_GAP_REL = 1e-9  # a strict partition gap exceeds this times lambda_2
+BOUND_SLACK = 1e-9  # lambda_2 may miss a closed-form bound by this much
+
 
 @dataclass
 class CheckReport:
@@ -176,7 +179,7 @@ def check_partition(
     if x in g.boundary:
         sig = sigma(g, x, method="doubling", tol=tol).sigma
         strict_margin = lam2g - sig
-        passed = strict_margin > 1e-9 * lam2g
+        passed = strict_margin > STRICT_GAP_REL * lam2g
         return CheckReport(
             check="partition",
             instance=_instance(g, x=x, kind="boundary"),
@@ -265,7 +268,7 @@ def check_diameter(
     lam2g = steklov_spectrum(g, tol).lambda2
     bound = 2.0 / length
     margin = bound - lam2g
-    passed = lam2g <= bound + 1e-9
+    passed = lam2g <= bound + BOUND_SLACK
     anomalies: list[str] = []
     details: dict = {"lambda2": lam2g, "diameter": length}
     if abs(lam2g - bound) < tol.assertion:
@@ -363,7 +366,7 @@ def check_degree_diameter(
         parity = "odd"
     lam2g = steklov_spectrum(g, tol).lambda2
     margin = lam2g - bound
-    passed = margin >= -1e-9
+    passed = margin >= -BOUND_SLACK
     anomalies: list[str] = []
     details: dict = {
         "lambda2": lam2g,

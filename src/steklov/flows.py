@@ -4,13 +4,11 @@ A lambda-flow to a vertex x is a nonzero function that is harmonic at every
 interior vertex except x and satisfies the spectral boundary condition at
 every boundary vertex except x.  On a tree the solution space is one
 dimensional; solve_flow builds it by a transfer recursion over the tree
-rooted at x, solve_flow_dense solves the equivalent square linear system as
-an independent oracle.  sigma(g, x) is the smallest lambda whose flow
-vanishes at x with positive gradients toward x; it is computed either from
-the spectral gap of the doubled graph or by bisecting, to float resolution,
-the first lambda at which a transfer coefficient below x stops being
-positive.  The two routes are kept strictly separate so they can check each
-other.
+rooted at x.  sigma(g, x) is the smallest lambda whose flow vanishes at x
+with positive gradients toward x; it is computed either from the spectral
+gap of the doubled graph or by bisecting, to float resolution, the first
+lambda at which a transfer coefficient below x stops being positive.  The
+two routes are kept strictly separate so they can check each other.
 """
 
 from __future__ import annotations
@@ -24,12 +22,14 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     GraphValidationError,
     InternalFault,
-    NearSingular,
     NormalizationFailure,
     ResonantLambda,
 )
 from .graphs import BoundaryGraph, _bfs, double_at
-from .spectral import _steklov_residuals, laplacian_matrix, steklov_spectrum
+from .spectral import _steklov_residuals, steklov_spectrum
+
+NORM_VANISH_REL = 1e-15  # |f(w)| below this times max |f| cannot normalize
+RESONANCE_NUDGE = 1e-10  # lambda shift for the one retry after a resonance
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def solve_flow(
                 scale[v] = f[u] / pairs[v].c
 
     fw = f[w]
-    if abs(fw) < 1e-15 * max(1.0, float(np.max(np.abs(f)))):
+    if abs(fw) < NORM_VANISH_REL * max(1.0, float(np.max(np.abs(f)))):
         raise NormalizationFailure(
             f"flow vanishes at normalization vertex {w} (lambda={lam!r})"
         )
@@ -169,54 +169,6 @@ def solve_flow(
             f"at lambda={lam!r}"
         )
     return flow
-
-
-def solve_flow_dense(
-    g: BoundaryGraph,
-    x: int,
-    lam: float,
-    w: int | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> LambdaFlow:
-    """Independent oracle: assemble and solve the flow system densely.
-
-    Accepts non-tree graphs as well; resonances surface as a near-singular
-    system.
-    """
-    if not 0 <= x < g.n:
-        raise GraphValidationError(f"vertex {x} out of range")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if w is None:
-        w = default_norm_vertex(g, x)
-    if w == x or w not in g.boundary:
-        raise GraphValidationError(f"normalization vertex {w} must be boundary != x")
-
-    lap = laplacian_matrix(g)
-    rows = []
-    rhs = []
-    for v in range(g.n):
-        if v == x:
-            continue
-        row = lap[v].copy()
-        if v in g.boundary:
-            row[v] -= lam
-        rows.append(row)
-        rhs.append(0.0)
-    norm_row = np.zeros(g.n)
-    norm_row[w] = 1.0
-    rows.append(norm_row)
-    rhs.append(1.0)
-    a = np.vstack(rows)
-    b = np.array(rhs)
-    sol, _, _, svals = np.linalg.lstsq(a, b, rcond=None)
-    if svals[-1] < 1e-10 * svals[0]:
-        raise NearSingular(lam, float(svals[-1]))
-    residual = float(np.max(np.abs(a @ sol - b)))
-    bound = tol.dense_flow_residual * max(1.0, float(np.max(np.abs(sol))))
-    if residual > bound:
-        raise NearSingular(lam, float(svals[-1]))
-    return LambdaFlow(lam=lam, target=x, norm_vertex=w, values=sol)
 
 
 def verify_flow(g: BoundaryGraph, flow: LambdaFlow) -> float:
@@ -283,7 +235,7 @@ def _flow_with_retry(
         return solve_flow(g, x, lam, w, tol)
     except ResonantLambda:
         # measure-zero collision with a branch resonance: nudge once
-        return solve_flow(g, x, lam + 1e-10, w, tol)
+        return solve_flow(g, x, lam + RESONANCE_NUDGE, w, tol)
 
 
 def _check_witness(

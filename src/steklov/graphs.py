@@ -9,6 +9,7 @@ for the two-vertex base case used by the flow calculus.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass
@@ -59,6 +60,23 @@ class BoundaryGraph:
             f"BoundaryGraph(n={self.n}, edges={list(self.edges)}, "
             f"boundary={sorted(self.boundary)}, strict={self.strict})"
         )
+
+
+def _with_cache(
+    n: int,
+    edges: tuple[tuple[int, int], ...],
+    boundary: frozenset[int],
+    strict: bool,
+    adjacency: tuple[tuple[int, ...], ...],
+    default_boundary: bool,
+) -> BoundaryGraph:
+    """A BoundaryGraph whose adjacency (and, when known, default-boundary
+    flag) is filled in from what the caller already computed."""
+    g = BoundaryGraph(n=n, edges=edges, boundary=boundary, strict=strict)
+    g.__dict__["adjacency"] = adjacency
+    if default_boundary:
+        g.__dict__["is_default_boundary"] = True
+    return g
 
 
 def _normalize_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -144,7 +162,9 @@ def build(
         if not _connected(n, nbrs, interior):
             raise GraphValidationError("interior is not connected")
 
-    return BoundaryGraph(n=n, edges=norm, boundary=bset, strict=strict)
+    # sorted edges append every neighbour list in ascending order
+    adjacency = tuple(tuple(a) for a in nbrs)
+    return _with_cache(n, norm, bset, strict, adjacency, boundary is None)
 
 
 def leaves(g: BoundaryGraph) -> frozenset[int]:
@@ -253,15 +273,26 @@ def double_at(g: BoundaryGraph, x: int) -> DoubleResult:
 
 
 def add_pendant(g: BoundaryGraph, x: int) -> BoundaryGraph:
-    """Attach a new leaf to x; the new vertex gets id g.n."""
+    """Attach a new leaf to x; the new vertex gets id g.n.
+
+    g is valid already, so only the new edge is checked: the graph stays
+    connected, and the interior gains at most x (a leaf of the default
+    boundary), whose one neighbour is interior in a strict graph.
+    """
     if not (0 <= x < g.n):
         raise GraphValidationError(f"vertex {x} out of range")
-    edges = list(g.edges) + [(x, g.n)]
+    n = g.n
     if g.is_default_boundary:
-        bnd = None
+        bnd = (g.boundary - {x}) | {n}
+    elif g.strict and x in g.boundary:
+        raise GraphValidationError(f"edge ({x},{n}) joins two boundary vertices")
     else:
-        bnd = set(g.boundary) | {g.n}
-    return build(g.n + 1, edges, boundary=bnd, strict=g.strict)
+        bnd = g.boundary | {n}
+    i = bisect.bisect(g.edges, (x, n))
+    edges = g.edges[:i] + ((x, n),) + g.edges[i:]
+    adj = g.adjacency
+    adjacency = adj[:x] + (adj[x] + (n,),) + adj[x + 1 :] + ((x,),)
+    return _with_cache(n + 1, edges, bnd, g.strict, adjacency, g.is_default_boundary)
 
 
 def remove_leaf(g: BoundaryGraph, v: int) -> tuple[BoundaryGraph, dict[int, int]]:

@@ -10,7 +10,12 @@ and records every violation as a self-contained, re-verifiable pair.
 
 Runs are deterministic given the config: instance idx -> content is a pure
 function of (problem, n_max, seed), so a report can be resumed from its
-cursor and a parallel run merges to byte-identical results.  Pending
+cursor and a parallel run merges to byte-identical results.  A run
+materializes only its window [cursor, budget) of the stream: it skips
+whole orders of the exhaustive sweep by their counted size, builds only
+the base graphs with an instance in the window, and stops enumerating at
+the window's end; each grown graph extends its valid base graph by one
+checked edge (`add_pendant`), without re-validation.  Pending
 instances are evaluated in fixed chunks of CHUNK: each chunk makes one
 batched `steklov_spectra` call over its distinct base graphs and all its
 grown graphs, and `--workers` maps chunks to processes.  The batched
@@ -28,6 +33,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InternalFault
@@ -304,10 +310,16 @@ def enumerate_trees(n: int):
     """One tree per isomorphism class, canonical generation order."""
     if not 3 <= n <= 12:
         raise ValueError(f"tree enumeration supports 3 <= n <= 12, got {n}")
+    for edges in _tree_edges(n):
+        yield build(n, edges, boundary=None)
+
+
+def _tree_edges(n: int):
+    """The sorted edge list of each tree of enumerate_trees(n), unvalidated."""
     import networkx as nx
 
     for t in nx.nonisomorphic_trees(n):
-        yield build(n, sorted(tuple(sorted(e)) for e in t.edges()), boundary=None)
+        yield sorted(tuple(sorted(e)) for e in t.edges())
 
 
 @functools.cache
@@ -323,6 +335,12 @@ def enumerate_graphs(n: int):
     in graph-atlas order."""
     if not 3 <= n <= 7:
         raise ValueError(f"graph enumeration supports 3 <= n <= 7, got {n}")
+    for edges in _atlas_edges(n):
+        yield build(n, edges, boundary=None)
+
+
+def _atlas_edges(n: int):
+    """The sorted edge list of each graph of enumerate_graphs(n), unvalidated."""
     import networkx as nx
 
     for g in _atlas():
@@ -333,8 +351,7 @@ def enumerate_graphs(n: int):
         degrees = dict(g.degree())
         if min(degrees.values()) != 1:
             continue
-        edges = sorted(tuple(sorted(e)) for e in g.edges())
-        yield build(n, edges, boundary=None)
+        yield sorted(tuple(sorted(e)) for e in g.edges())
 
 
 def _random_general_graph(n: int, rng: random.Random) -> BoundaryGraph:
@@ -358,43 +375,58 @@ def _random_general_graph(n: int, rng: random.Random) -> BoundaryGraph:
 # deterministic instance streams
 
 
-def _instance(cfg: HuntConfig, idx: int, exhaustive: list) -> tuple | None:
-    """Instance #idx of the stream for cfg, or None past the end.
+def _prefix_orders(cfg: HuntConfig) -> list[tuple[int, int, Iterable[list]]]:
+    """(order n, instances of order n, base edge lists of order n) for each
+    order of the exhaustive prefix.  Tree edge lists come lazily, so a
+    window can stop enumerating at its end; their count is networkx's."""
+    if cfg.problem == "2":
+        orders = range(3, min(cfg.n_max - 1, 7) + 1)
+        lists = [list(_atlas_edges(n)) for n in orders]
+        return [(n, n * len(e), e) for n, e in zip(orders, lists)]
+    import networkx as nx
 
-    The prefix is the materialized exhaustive list; the tail draws a random
-    base graph from a sub-seed bound to idx alone, so the mapping never
-    depends on budget, cursor, or worker count.
+    orders = range(3, min(cfg.n_max - 1, 10) + 1)
+    counts = [nx.number_of_nonisomorphic_trees(n) for n in orders]
+    return [(n, n * c, _tree_edges(n)) for n, c in zip(orders, counts)]
+
+
+def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float]:
+    """Instances [cursor, cursor + want) of the stream for cfg (fewer at the
+    end of a finite stream), and the stream's length.
+
+    The exhaustive prefix takes each base graph of orders 3, 4, ... in
+    generation order, with every attachment vertex x.  Orders wholly before
+    the cursor are skipped by their size, and only base graphs with an
+    instance in the window are built.  Past the prefix, instance idx draws a
+    random base graph of order 11 (8 for problem 2) to n_max - 1 from a
+    sub-seed bound to idx alone, so the mapping never depends on budget,
+    cursor, or worker count.  Without such orders the stream ends with
+    its prefix.
     """
-    if idx < len(exhaustive):
-        return exhaustive[idx]
-    lo, hi = 11, cfg.n_max - 1
-    if cfg.problem == "2":
-        lo = 8
-    if hi < lo:
-        return None
-    rng = random.Random(f"{cfg.seed}:{idx}")
-    n = rng.randint(lo, hi)
-    if cfg.problem == "2":
-        g1 = _random_general_graph(n, rng)
-    else:
-        g1 = random_tree(n, rng.randrange(2**32))
-    x = rng.randrange(g1.n)
-    return (g1, x)
-
-
-def _exhaustive_instances(cfg: HuntConfig) -> list[tuple]:
+    stop = cursor + want
     out: list[tuple] = []
-    if cfg.problem == "2":
-        top = min(cfg.n_max - 1, 7)
-        gen = enumerate_graphs
-    else:
-        top = min(cfg.n_max - 1, 10)
-        gen = enumerate_trees
-    for n in range(3, top + 1):
-        for g in gen(n):
-            for x in range(g.n):
-                out.append((g, x))
-    return out
+    start = 0
+    for n, size, edge_lists in _prefix_orders(cfg):
+        if start < stop and start + size > cursor:
+            # base graph i of this order holds instances first..first + n - 1
+            for first, edges in zip(range(start, stop, n), edge_lists):
+                if first + n > cursor:
+                    g = build(n, edges, boundary=None)
+                    xs = range(max(cursor - first, 0), min(stop - first, n))
+                    out.extend((g, x) for x in xs)
+        start += size
+    lo, hi = (8 if cfg.problem == "2" else 11), cfg.n_max - 1
+    if hi < lo:
+        return out, start
+    for idx in range(max(cursor, start), stop):
+        rng = random.Random(f"{cfg.seed}:{idx}")
+        n = rng.randint(lo, hi)
+        if cfg.problem == "2":
+            g1 = _random_general_graph(n, rng)
+        else:
+            g1 = random_tree(n, rng.randrange(2**32))
+        out.append((g1, rng.randrange(g1.n)))
+    return out, math.inf
 
 
 def _eval_chunk(payload: tuple) -> list[tuple[float, dict | None]]:
@@ -420,7 +452,6 @@ def _run_hunt(
     cfg: HuntConfig, resume: HuntReport | None, tol: Tolerances
 ) -> HuntReport:
     start = time.monotonic()
-    exhaustive = _exhaustive_instances(cfg)
     cursor = 0
     violations: list[CandidatePair] = []
     histogram = _empty_histogram()
@@ -439,15 +470,7 @@ def _run_hunt(
         histogram = dict(resume.histogram)
         examined = resume.instances
 
-    pending: list[tuple] = []
-    idx = cursor
-    while examined + len(pending) < cfg.budget:
-        inst = _instance(cfg, idx, exhaustive)
-        if inst is None:
-            break
-        pending.append(inst)
-        idx += 1
-
+    pending, end = _stream(cfg, cursor, max(cfg.budget - examined, 0))
     payloads = [
         (pending[i : i + CHUNK], cfg.k_min, cfg.k_max, tol)
         for i in range(0, len(pending), CHUNK)
@@ -464,9 +487,8 @@ def _run_hunt(
         if doc is not None:
             violations.append(CandidatePair.from_json(doc))
     examined += len(pending)
-    cursor = idx
-    exhausted = _instance(cfg, cursor, exhaustive) is None
-    status = "complete" if exhausted else "budget_exhausted"
+    cursor += len(pending)
+    status = "complete" if cursor >= end else "budget_exhausted"
     report = HuntReport(
         config=cfg,
         instances=examined,

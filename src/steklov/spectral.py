@@ -319,16 +319,6 @@ def lambda2(g: BoundaryGraph, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return steklov_spectrum(g, tol).lambda2
 
 
-def rayleigh(g: BoundaryGraph, f) -> float:
-    """Edge energy over boundary mass, undirected edge convention."""
-    f = np.asarray(f, dtype=float)
-    energy = sum((f[u] - f[v]) ** 2 for u, v in g.edges)
-    mass = sum(f[v] ** 2 for v in g.boundary)
-    if mass == 0.0:
-        raise ValueError("Rayleigh quotient needs f nonzero on the boundary")
-    return float(energy / mass)
-
-
 def _steklov_residuals(g: BoundaryGraph, f, lam: float) -> np.ndarray:
     """Per-vertex residual of the eigenvalue system at (f, lam): |Lf| at
     interior vertices, |Lf - lam f| at boundary vertices (the normal
@@ -344,17 +334,3 @@ def _steklov_residuals(g: BoundaryGraph, f, lam: float) -> np.ndarray:
 def check_steklov_system(g: BoundaryGraph, f, lam: float) -> float:
     """Max residual of the eigenvalue system at (f, lam)."""
     return float(np.max(_steklov_residuals(g, f, lam)))
-
-
-def normal_derivative(g: BoundaryGraph, f) -> np.ndarray:
-    """Outward normal derivative on the sorted boundary (equals Lf there)."""
-    lap = laplacian_apply(g, np.asarray(f, dtype=float))
-    return lap[list(g.boundary_sorted())]
-
-
-def green_identity_gap(g: BoundaryGraph, f) -> float:
-    """|edge energy - (Lf, f)|; zero in exact arithmetic on any graph."""
-    f = np.asarray(f, dtype=float)
-    energy = sum((f[u] - f[v]) ** 2 for u, v in g.edges)
-    pairing = float(laplacian_apply(g, f) @ f)
-    return abs(energy - pairing)

@@ -23,21 +23,19 @@ from steklov import (
     dtn_matrix,
     edge_flow_residual,
     find_fig1,
-    green_identity_gap,
     hunt_problem1,
     lambda2,
     path_tree,
     positivity_check,
     random_tree,
-    rayleigh,
     reverify,
     sigma,
     solve_flow,
-    solve_flow_dense,
     sigma_upper_bound,
     star,
     steklov_spectrum,
 )
+from oracles import green_identity_gap, rayleigh, solve_flow_dense
 
 
 _capman = None

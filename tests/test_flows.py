@@ -31,15 +31,14 @@ from steklov import (
     path_tree,
     positivity_check,
     random_tree,
-    rayleigh,
     sigma,
     sigma_upper_bound,
     solve_flow,
-    solve_flow_dense,
     star,
     transfer_pairs,
     verify_flow,
 )
+from oracles import rayleigh, solve_flow_dense
 
 SPIDER = build(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
 SPIDER_SIGMA = (5.0 - math.sqrt(5.0)) / 10.0

@@ -1,12 +1,14 @@
 """Graph container, surgeries, generators, and isomorphism machinery."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov import (
+    BoundaryGraph,
     GraphValidationError,
     add_pendant,
     ball,
@@ -16,6 +18,7 @@ from steklov import (
     diametral_path,
     double_at,
     double_ball,
+    enumerate_graphs,
     is_subgraph,
     leaves,
     path_tree,
@@ -188,6 +191,72 @@ def test_add_pendant_then_remove_round_trip():
 def test_remove_leaf_requires_leaf():
     with pytest.raises(GraphValidationError):
         remove_leaf(path_tree(3), 1)
+
+
+def _pendant_by_build(g, x):
+    """add_pendant as a full rebuild: the whole edge list through build."""
+    bnd = None if g.is_default_boundary else set(g.boundary) | {g.n}
+    return build(g.n + 1, list(g.edges) + [(x, g.n)], boundary=bnd, strict=g.strict)
+
+
+def _fresh(g):
+    """The same graph with nothing cached, so every property is recomputed."""
+    return BoundaryGraph(g.n, g.edges, g.boundary, g.strict)
+
+
+def _pendant_cases():
+    from steklov.hunt import _random_general_graph
+
+    rng = random.Random(11)
+    cases = [path_tree(1), path_tree(2), star(3), ball(2, 2)]
+    cases += [random_tree(n, seed) for n in range(3, 16) for seed in range(3)]
+    cases += list(enumerate_graphs(5))  # cycles, default boundary
+    cases += [_random_general_graph(n, rng) for n in range(8, 13)]
+    # custom boundaries, strict and relaxed, kept where build accepts them
+    for n in range(4, 12):
+        t = random_tree(n, 100 + n)
+        tips = sorted(leaves(t))
+        for _ in range(6):
+            some_tips = rng.sample(tips, rng.randint(1, len(tips)))
+            anything = rng.sample(range(n), rng.randint(1, n - 1))
+            for bnd, strict in itertools.product((some_tips, anything), (True, False)):
+                try:
+                    g = build(n, t.edges, boundary=bnd, strict=strict)
+                except GraphValidationError:
+                    continue
+                if not g.is_default_boundary:
+                    cases.append(g)
+    return cases
+
+
+def test_add_pendant_equals_build_of_the_grown_edge_list():
+    cases = _pendant_cases()
+    assert sum(not g.strict and not g.is_default_boundary for g in cases) > 5
+    assert sum(g.strict and not g.is_default_boundary for g in cases) > 5
+    strict_rejections = 0
+    for g in cases:
+        assert g.adjacency == _fresh(g).adjacency  # as handed over by build
+        for x in range(g.n):
+            try:
+                slow = _pendant_by_build(g, x)
+            except GraphValidationError as exc:
+                with pytest.raises(GraphValidationError) as fast:
+                    add_pendant(g, x)
+                assert str(fast.value) == str(exc)
+                strict_rejections += 1
+                continue
+            fast = add_pendant(g, x)
+            assert fast == slow
+            assert fast.adjacency == slow.adjacency == _fresh(fast).adjacency
+            assert fast.is_default_boundary == _fresh(slow).is_default_boundary
+            assert slow.is_default_boundary == _fresh(slow).is_default_boundary
+    assert strict_rejections > 0  # custom strict boundaries with x on them
+
+
+def test_add_pendant_rejects_out_of_range_vertex():
+    for x in (-1, 4):
+        with pytest.raises(GraphValidationError, match=f"vertex {x} out of range"):
+            add_pendant(path_tree(3), x)
 
 
 # ---------------------------------------------------------------------------

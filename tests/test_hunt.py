@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import json
+import math
+import random
 
 import pytest
 
@@ -19,9 +21,11 @@ from steklov import (
     hunt_problem2,
     make_pair,
     path_tree,
+    random_tree,
     reverify,
     tree_canonical_form,
 )
+from steklov.hunt import _empty_histogram, _prefix_orders, _stream
 
 # one tree per isomorphism class; the unlabeled-tree counting sequence
 TREE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -245,10 +249,8 @@ def test_hunt1_resume_rejects_foreign_stream():
 
 
 def test_hunt1_random_tail_reaches_big_trees():
-    from steklov.hunt import _exhaustive_instances
-
     cfg = HuntConfig(problem="1", n_max=12, k_min=3, budget=2000, seed=5)
-    prefix = len(_exhaustive_instances(cfg))
+    prefix = sum(size for _n, size, _edges in _prefix_orders(cfg))
     assert prefix < 2000  # the run below must enter the random tail
     rep = hunt_problem1(cfg)
     assert rep.instances == 2000
@@ -274,18 +276,13 @@ def test_hunt_problem_id_guards():
 
 
 def test_seed_changes_random_tail_only():
-    from steklov.hunt import _exhaustive_instances, _instance
-
     a = HuntConfig(problem="1", n_max=13, k_min=3, budget=10, seed=1)
     b = HuntConfig(problem="1", n_max=13, k_min=3, budget=10, seed=2)
-    ex = _exhaustive_instances(a)
     # the exhaustive prefix is seed-independent ...
-    assert _instance(a, 0, ex) == _instance(b, 0, ex)
+    assert _stream(a, 0, 1) == _stream(b, 0, 1)
     # ... and the random tail is not
-    idx = len(ex)
-    tails_a = [_instance(a, idx + j, ex) for j in range(5)]
-    tails_b = [_instance(b, idx + j, ex) for j in range(5)]
-    assert tails_a != tails_b
+    idx = sum(size for _n, size, _edges in _prefix_orders(a))
+    assert _stream(a, idx, 5)[0] != _stream(b, idx, 5)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +331,102 @@ def test_histogram_bins_are_fixed():
 
 
 def test_instance_stream_ignores_budget():
-    from steklov.hunt import _exhaustive_instances, _instance
-
     a = HuntConfig(problem="1", n_max=13, k_min=3, budget=10, seed=4)
     b = HuntConfig(problem="1", n_max=13, k_min=3, budget=5000, seed=4)
-    ex_a, ex_b = _exhaustive_instances(a), _exhaustive_instances(b)
     for idx in (0, 20, 400, 401):
-        ia, ib = _instance(a, idx, ex_a), _instance(b, idx, ex_b)
-        assert ia is not None and ib is not None
+        (ia,), _ = _stream(a, idx, 1)
+        (ib,), _ = _stream(b, idx, 1)
         assert ia[0] == ib[0] and ia[1] == ib[1]
+
+
+# ---------------------------------------------------------------------------
+# windows of the instance stream against a full enumeration
+
+
+def _reference_prefix(cfg: HuntConfig) -> list[tuple]:
+    """The exhaustive prefix, materialized: every base graph of orders 3 up
+    to n_max - 1 (at most 10 for trees, 7 for graphs), every attachment."""
+    if cfg.problem == "2":
+        gen, top = enumerate_graphs, min(cfg.n_max - 1, 7)
+    else:
+        gen, top = enumerate_trees, min(cfg.n_max - 1, 10)
+    return [(g, x) for n in range(3, top + 1) for g in gen(n) for x in range(n)]
+
+
+def _reference_stream(cfg: HuntConfig, stop: int) -> list[tuple]:
+    """Instances [0, stop) of the stream, fewer if it ends: the prefix, then
+    one random base graph of order 11 (8 for problem 2) to n_max - 1 per
+    index, drawn from the sub-seed "seed:idx"."""
+    from steklov.hunt import _random_general_graph
+
+    out = _reference_prefix(cfg)
+    lo, hi = (8 if cfg.problem == "2" else 11), cfg.n_max - 1
+    if hi >= lo:
+        for idx in range(len(out), stop):
+            rng = random.Random(f"{cfg.seed}:{idx}")
+            n = rng.randint(lo, hi)
+            if cfg.problem == "2":
+                g1 = _random_general_graph(n, rng)
+            else:
+                g1 = random_tree(n, rng.randrange(2**32))
+            out.append((g1, rng.randrange(g1.n)))
+    return out[:stop]
+
+
+@pytest.mark.parametrize(
+    "problem, n_max, windows",
+    [
+        # order blocks start at 0, 3, 11, 26, 62, 139, 323, 746; the tail at 1806
+        ("1", 12, [(0, 1), (1, 2), (2, 5), (137, 5), (140, 7), (650, 200),
+                   (1300, 500), (1800, 12), (1805, 1), (1806, 3), (1807, 4),
+                   (2500, 10), (0, 1900)]),
+        # a finite stream: windows past its end come back short
+        ("1", 11, [(1800, 12), (1805, 1), (1806, 3), (2000, 5)]),
+        # order blocks start at 0, 3, 15, 65, 371; the tail at 2793
+        ("2", 9, [(0, 2), (10, 10), (60, 20), (100, 400), (2790, 6),
+                  (2793, 2), (2900, 3)]),
+        ("2", 8, [(650, 5), (2790, 6), (2793, 2)]),
+    ],
+)
+def test_stream_windows_match_full_enumeration(problem, n_max, windows):
+    cfg = HuntConfig(problem=problem, n_max=n_max, seed=3)
+    full = _reference_stream(cfg, 3000)
+    prefix = len(_reference_prefix(cfg))
+    for cursor, want in windows:
+        got, end = _stream(cfg, cursor, want)
+        assert got == full[cursor : cursor + want], (cursor, want)
+        assert end == (math.inf if len(full) == 3000 else prefix)
+
+
+def test_counted_prefix_sizes_match_enumeration():
+    trees = _prefix_orders(HuntConfig(problem="1", n_max=11))
+    assert [n for n, _size, _edges in trees] == list(range(3, 11))
+    for n, size, _edges in trees:
+        assert size == n * sum(1 for _ in enumerate_trees(n)) == n * TREE_COUNTS[n]
+    graphs = _prefix_orders(HuntConfig(problem="2", n_max=8))
+    assert [(n, size) for n, size, _e in graphs] == [
+        (n, n * GRAPH_COUNTS[n]) for n in range(3, 8)
+    ]
+
+
+@pytest.mark.parametrize("problem, n_max, end", [("1", 11, 1806), ("2", 8, 2793)])
+def test_end_of_stream_status(problem, n_max, end):
+    runner = hunt_problem1 if problem == "1" else hunt_problem2
+
+    def leg(cursor: int, budget: int) -> tuple:
+        cfg = HuntConfig(problem=problem, n_max=n_max, k_min=2, budget=budget)
+        resume = HuntReport(
+            cfg, cursor, [], _empty_histogram(), 0.0, "budget_exhausted", cursor
+        )
+        report = runner(cfg, resume=resume)
+        return report.status, report.cursor, report.instances
+
+    assert leg(600, 650) == ("budget_exhausted", 650, 650)
+    assert leg(end - 3, end - 1) == ("budget_exhausted", end - 1, end - 1)
+    assert leg(end - 1, end) == ("complete", end, end)
+    assert leg(end - 1, end + 5) == ("complete", end, end)
+    assert leg(end, end + 5) == ("complete", end, end)
+    assert leg(end + 3, end + 5) == ("complete", end + 3, end + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +435,17 @@ def test_instance_stream_ignores_budget():
 
 def _recompute(cfg: HuntConfig) -> dict:
     """The report of cfg rebuilt one instance at a time through make_pair."""
-    from steklov.hunt import (
-        VIOLATION_TOL,
-        _empty_histogram,
-        _exhaustive_instances,
-        _hist_add,
-        _instance,
-    )
+    from steklov.hunt import VIOLATION_TOL, _hist_add
 
-    exhaustive = _exhaustive_instances(cfg)
-    hist, violations, idx = _empty_histogram(), [], 0
-    while idx < cfg.budget:
-        inst = _instance(cfg, idx, exhaustive)
-        if inst is None:
-            break
-        g1, x = inst
+    instances = _reference_stream(cfg, cfg.budget + 1)
+    hist, violations = _empty_histogram(), []
+    for g1, x in instances[: cfg.budget]:
         pair = make_pair(g1, add_pendant(g1, x), x, "pendant", cfg.k_min, cfg.k_max)
         _hist_add(hist, pair.min_margin)
         if pair.min_margin < -VIOLATION_TOL:
             violations.append(pair.to_json())
-        idx += 1
-    done = _instance(cfg, idx, exhaustive) is None
+    idx = min(len(instances), cfg.budget)
+    done = len(instances) == idx
     return {
         "config": cfg.to_json(),
         "instances": idx,

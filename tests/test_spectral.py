@@ -26,19 +26,17 @@ from steklov import (
     double_ball,
     dtn_matrix,
     enumerate_graphs,
-    green_identity_gap,
     harmonic_extension,
     lambda2,
     laplacian_apply,
     laplacian_matrix,
-    normal_derivative,
     path_tree,
     random_tree,
-    rayleigh,
     star,
     steklov_spectra,
     steklov_spectrum,
 )
+from oracles import green_identity_gap, normal_derivative, rayleigh
 from steklov import spectral
 
 
