@@ -17,7 +17,6 @@ class Tolerances:
     agreement: float = 1e-8             # cross-method agreement (sigma methods)
     harmonic_residual: float = 1e-10    # interior Laplacian residual, relative
     flow_residual: float = 1e-10        # transfer-recursion system residual
-    dense_flow_residual: float = 1e-9   # dense-solve system residual
     resonance: float = 1e-12            # vanishing transfer coefficient cutoff
     sigma_witness: float = 1e-9         # witness flow value / positivity slack
     multiplicity: float = 1e-8          # eigenvalue grouping width

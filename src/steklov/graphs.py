@@ -21,6 +21,10 @@ from .errors import GraphValidationError
 
 @dataclass(frozen=True)
 class BoundaryGraph:
+    """A boundary-marked graph; construct it with ``build``, which
+    validates it and sorts its edges.  The constructor checks nothing, and
+    the surgeries trust that their inputs came from ``build``."""
+
     n: int
     edges: tuple[tuple[int, int], ...]
     boundary: frozenset[int]
@@ -60,23 +64,6 @@ class BoundaryGraph:
             f"BoundaryGraph(n={self.n}, edges={list(self.edges)}, "
             f"boundary={sorted(self.boundary)}, strict={self.strict})"
         )
-
-
-def _with_cache(
-    n: int,
-    edges: tuple[tuple[int, int], ...],
-    boundary: frozenset[int],
-    strict: bool,
-    adjacency: tuple[tuple[int, ...], ...],
-    default_boundary: bool,
-) -> BoundaryGraph:
-    """A BoundaryGraph whose adjacency (and, when known, default-boundary
-    flag) is filled in from what the caller already computed."""
-    g = BoundaryGraph(n=n, edges=edges, boundary=boundary, strict=strict)
-    g.__dict__["adjacency"] = adjacency
-    if default_boundary:
-        g.__dict__["is_default_boundary"] = True
-    return g
 
 
 def _normalize_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -162,9 +149,7 @@ def build(
         if not _connected(n, nbrs, interior):
             raise GraphValidationError("interior is not connected")
 
-    # sorted edges append every neighbour list in ascending order
-    adjacency = tuple(tuple(a) for a in nbrs)
-    return _with_cache(n, norm, bset, strict, adjacency, boundary is None)
+    return BoundaryGraph(n=n, edges=norm, boundary=bset, strict=strict)
 
 
 def leaves(g: BoundaryGraph) -> frozenset[int]:
@@ -275,9 +260,10 @@ def double_at(g: BoundaryGraph, x: int) -> DoubleResult:
 def add_pendant(g: BoundaryGraph, x: int) -> BoundaryGraph:
     """Attach a new leaf to x; the new vertex gets id g.n.
 
-    g is valid already, so only the new edge is checked: the graph stays
-    connected, and the interior gains at most x (a leaf of the default
-    boundary), whose one neighbour is interior in a strict graph.
+    g must come from ``build`` (or a surgery here): it is trusted to be
+    valid with sorted edges, so only the new edge is checked.  The graph
+    stays connected, and the interior gains at most x (a leaf of the
+    default boundary), whose one neighbour is interior in a strict graph.
     """
     if not (0 <= x < g.n):
         raise GraphValidationError(f"vertex {x} out of range")
@@ -290,9 +276,7 @@ def add_pendant(g: BoundaryGraph, x: int) -> BoundaryGraph:
         bnd = g.boundary | {n}
     i = bisect.bisect(g.edges, (x, n))
     edges = g.edges[:i] + ((x, n),) + g.edges[i:]
-    adj = g.adjacency
-    adjacency = adj[:x] + (adj[x] + (n,),) + adj[x + 1 :] + ((x,),)
-    return _with_cache(n + 1, edges, bnd, g.strict, adjacency, g.is_default_boundary)
+    return BoundaryGraph(n=n + 1, edges=edges, boundary=bnd, strict=g.strict)
 
 
 def remove_leaf(g: BoundaryGraph, v: int) -> tuple[BoundaryGraph, dict[int, int]]:

@@ -9,16 +9,17 @@ Steklov problem.
 import numpy as np
 
 from steklov import (
-    DEFAULT_TOLERANCES,
     BoundaryGraph,
     GraphValidationError,
     LambdaFlow,
     NearSingular,
-    Tolerances,
     default_norm_vertex,
     laplacian_apply,
     laplacian_matrix,
 )
+
+# dense-solve system residual, relative to the largest flow value
+DENSE_FLOW_RESIDUAL = 1e-9
 
 
 def solve_flow_dense(
@@ -26,7 +27,6 @@ def solve_flow_dense(
     x: int,
     lam: float,
     w: int | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> LambdaFlow:
     """Independent oracle: assemble and solve the flow system densely.
 
@@ -63,7 +63,7 @@ def solve_flow_dense(
     if svals[-1] < 1e-10 * svals[0]:
         raise NearSingular(lam, float(svals[-1]))
     residual = float(np.max(np.abs(a @ sol - b)))
-    bound = tol.dense_flow_residual * max(1.0, float(np.max(np.abs(sol))))
+    bound = DENSE_FLOW_RESIDUAL * max(1.0, float(np.max(np.abs(sol))))
     if residual > bound:
         raise NearSingular(lam, float(svals[-1]))
     return LambdaFlow(lam=lam, target=x, norm_vertex=w, values=sol)
