@@ -14,9 +14,6 @@ from .errors import (
 )
 from .graphs import (
     BoundaryGraph,
-    BranchRef,
-    DoubleResult,
-    WedgeResult,
     add_pendant,
     ball,
     branch,
@@ -34,7 +31,6 @@ from .graphs import (
     tree_canonical_form,
     tree_center,
     trees_isomorphic,
-    wedge_sum,
 )
 from .serialize import (
     from_edge_list,

@@ -23,6 +23,7 @@ from .flows import sigma
 from .graphs import (
     BoundaryGraph,
     _component,
+    _induced,
     branch,
     build,
     diametral_path,
@@ -84,7 +85,7 @@ def _branch_sigma(
     g: BoundaryGraph, j: int, x: int, tol: Tolerances
 ) -> float:
     """sigma of the closed branch hanging from neighbor j of x, taken at x."""
-    sub, relabel = branch(g, j, x, closed=True).as_graph(g)
+    sub, relabel = branch(g, j, x)
     return sigma(sub, relabel[x], method="bisection", tol=tol).sigma
 
 
@@ -137,8 +138,7 @@ def check_doubling(
     at the glue vertex.  The two sides come from an eigensolve and a flow
     bisection respectively."""
     _require_leaf_boundary_tree(g, x)
-    doubled = double_at(g, x)
-    spec_d = steklov_spectrum(doubled.graph, tol)
+    spec_d = steklov_spectrum(double_at(g, x), tol)
     lam2d = spec_d.lambda2
     branch_sigmas = {
         j: _branch_sigma(g, j, x, tol) for j in sorted(g.neighbors(x))
@@ -147,7 +147,7 @@ def check_doubling(
     gap = abs(lam2d - min_sigma)
     lo, hi = spec_d.group_of(2, tol.multiplicity)
     wedge_value = max(
-        abs(float(spec_d.extensions[doubled.wedge, k - 1]))
+        abs(float(spec_d.extensions[x, k - 1]))
         for k in range(lo, hi + 1)
     )
     passed = gap <= tol.agreement and wedge_value <= tol.vanishing
@@ -187,7 +187,7 @@ def check_partition(
             margins={"strict_margin": strict_margin},
             details={"lambda2": lam2g, "sigma": sig, "sigma_route": "doubling"},
         )
-    lam2d = steklov_spectrum(double_at(g, x).graph, tol).lambda2
+    lam2d = steklov_spectrum(double_at(g, x), tol).lambda2
     margin = lam2g - lam2d
     passed = margin >= -tol.assertion
     return CheckReport(
@@ -237,16 +237,8 @@ def diameter_decomposition(g: BoundaryGraph) -> DiameterDecomposition:
         mid = length // 2
         comp = components[mid]
         if len(comp) > 1:
-            order = sorted(comp)
-            relabel = {old: new for new, old in enumerate(order)}
-            sub_edges = [
-                (relabel[a], relabel[b])
-                for a, b in g.edges
-                if a in comp and b in comp
-            ]
-            h2 = build(
-                len(order), sub_edges, boundary=None, strict=len(order) > 2
-            )
+            sub_edges, relabel = _induced(g, comp)
+            h2 = build(len(comp), sub_edges, strict=len(comp) > 2)
             h2_center = relabel[path[mid]]
     return DiameterDecomposition(
         path=tuple(path),
@@ -286,9 +278,7 @@ def check_diameter(
         elif dec.h2 is None:
             mid_ok = True
         else:
-            lam2_h2d = steklov_spectrum(
-                double_at(dec.h2, dec.h2_center).graph, tol
-            ).lambda2
+            lam2_h2d = steklov_spectrum(double_at(dec.h2, dec.h2_center), tol).lambda2
             mid_ok = lam2_h2d >= bound - tol.assertion
             details["lambda2_midpoint_double"] = lam2_h2d
         structure = {
@@ -339,7 +329,7 @@ def doubled_branch_graph(D: int, R: int) -> BoundaryGraph:
                 nxt += 1
         frontier = new_frontier
     half = build(nxt, edges, boundary=None, strict=nxt > 2)
-    return double_at(half, 0).graph
+    return double_at(half, 0)
 
 
 def check_degree_diameter(
@@ -379,7 +369,7 @@ def check_degree_diameter(
         if g.n <= 20:
             if parity == "even":
                 pattern = doubled_branch_graph(D, R)
-                rigid = pattern.n <= g.n and is_subgraph(pattern, g, limit=20)
+                rigid = pattern.n <= g.n and is_subgraph(pattern, g)
                 details["rigidity_mode"] = "contains_doubled_branch"
             else:
                 rigid = trees_isomorphic(g, double_ball(D, R))

@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except (ResonantLambda, NearSingular, NormalizationFailure) as exc:
         print(f"resonance: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except SteklovError as exc:

@@ -309,8 +309,7 @@ def sigma(
         witness = solve_flow(g, x, 1.0, w, tol)
         return SigmaResult(sigma=1.0, method="doubling", witness=witness, sigma1=None)
     else:
-        doubled = double_at(g, x)
-        sig = steklov_spectrum(doubled.graph, tol).lambda2
+        sig = steklov_spectrum(double_at(g, x), tol).lambda2
         sigma1 = None
         witness = _flow_with_retry(g, x, sig, w, tol)
     _check_witness(g, witness, sig, tol)

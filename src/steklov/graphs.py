@@ -14,9 +14,11 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import GraphValidationError
+
+SUBGRAPH_LIMIT = 20  # largest order is_subgraph backtracks over
 
 
 @dataclass(frozen=True)
@@ -157,104 +159,50 @@ def leaves(g: BoundaryGraph) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if g.degree(v) == 1)
 
 
-# ---------------------------------------------------------------------------
-# branches
-
-@dataclass(frozen=True)
-class BranchRef:
-    """The component of u after deleting tree edge (u, v); closed adds v back."""
-
-    u: int
-    v: int
-    closed: bool
-    vertices: tuple[int, ...]
-
-    def as_graph(self, parent: BoundaryGraph) -> tuple[BoundaryGraph, dict[int, int]]:
-        """Materialize the branch with boundary recomputed as its leaves."""
-        verts = set(self.vertices)
-        if self.closed:
-            verts.add(self.v)
-        if len(verts) < 2:
-            raise GraphValidationError("branch too small to materialize")
-        order = sorted(verts)
-        relabel = {old: new for new, old in enumerate(order)}
-        sub_edges = [
-            (relabel[a], relabel[b])
-            for a, b in parent.edges
-            if a in verts and b in verts
-        ]
-        strict = len(order) > 2
-        graph = build(len(order), sub_edges, boundary=None, strict=strict)
-        return graph, relabel
-
-
-def branch(g: BoundaryGraph, u: int, v: int, closed: bool = True) -> BranchRef:
-    """Branch of a tree from directed edge (u, v): u's side of the cut."""
-    if not g.is_tree:
-        raise GraphValidationError("branches are defined on trees only")
-    if v not in g.neighbors(u):
-        raise GraphValidationError(f"({u},{v}) is not an edge")
-    # on a tree, cutting the edge (u, v) is the same as blocking v
-    seen = _component(g.adjacency, u, {v})
-    return BranchRef(u=u, v=v, closed=closed, vertices=tuple(sorted(seen)))
+def _induced(
+    g: BoundaryGraph, keep: Iterable[int]
+) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The edges of g with both ends in keep, relabelled in id order, and
+    the old -> new map."""
+    relabel = {old: new for new, old in enumerate(sorted(keep))}
+    edges = [
+        (relabel[a], relabel[b]) for a, b in g.edges if a in relabel and b in relabel
+    ]
+    return edges, relabel
 
 
 # ---------------------------------------------------------------------------
 # surgeries
 
-class WedgeResult(NamedTuple):
-    graph: BoundaryGraph
-    map1: dict[int, int]
-    map2: dict[int, int]
-    vertex: int
+def branch(g: BoundaryGraph, u: int, v: int) -> tuple[BoundaryGraph, dict[int, int]]:
+    """Closed branch of a tree at directed edge (u, v): u's side of the cut
+    plus v, with its leaves as boundary, and the old -> new map."""
+    if not g.is_tree:
+        raise GraphValidationError("branches are defined on trees only")
+    if v not in g.neighbors(u):
+        raise GraphValidationError(f"({u},{v}) is not an edge")
+    # on a tree, cutting the edge (u, v) is the same as blocking v
+    edges, relabel = _induced(g, _component(g.adjacency, u, {v}) | {v})
+    return build(len(relabel), edges, strict=len(relabel) > 2), relabel
 
 
-class DoubleResult(NamedTuple):
-    graph: BoundaryGraph
-    wedge: int
-    map1: dict[int, int]
-    map2: dict[int, int]
+def double_at(g: BoundaryGraph, x: int) -> BoundaryGraph:
+    """g glued to a disjoint copy of itself at x.
 
-
-def wedge_sum(
-    g1: BoundaryGraph, x1: int, g2: BoundaryGraph, x2: int
-) -> WedgeResult:
-    """Glue g2 onto g1 by identifying x2 with x1.
-
-    Copies stay edge-disjoint; the relabeling of each input is returned so
-    chains of surgeries remain traceable.
+    x keeps its id, and copy vertex v != x becomes g.n + v - (v > x).  A
+    tree with its leaves as boundary doubles to one; otherwise both copies
+    keep their boundary, minus the glue vertex, which is no longer a leaf.
     """
-    if not (0 <= x1 < g1.n and 0 <= x2 < g2.n):
+    if not 0 <= x < g.n:
         raise GraphValidationError("glue vertex out of range")
-    map1 = {v: v for v in range(g1.n)}
-    map2 = {}
-    nxt = g1.n
-    for v in range(g2.n):
-        if v == x2:
-            map2[v] = x1
-        else:
-            map2[v] = nxt
-            nxt += 1
-    edges = list(g1.edges) + [(map2[a], map2[b]) for a, b in g2.edges]
-    n = nxt
-    is_tree_result = g1.is_tree and g2.is_tree
-    if is_tree_result and g1.is_default_boundary and g2.is_default_boundary:
-        bnd = None  # recompute as leaves
+    copy = [g.n + v - (v > x) for v in range(g.n)]
+    copy[x] = x
+    edges = list(g.edges) + [(copy[a], copy[b]) for a, b in g.edges]
+    if g.is_tree and g.is_default_boundary:
+        bnd = None
     else:
-        bnd = {map1[v] for v in g1.boundary} | {map2[v] for v in g2.boundary}
-        deg_glue = g1.degree(x1) + g2.degree(x2)
-        if deg_glue > 1:
-            bnd.discard(x1)
-    strict = g1.strict and g2.strict
-    graph = build(n, edges, boundary=bnd, strict=strict)
-    return WedgeResult(graph=graph, map1=map1, map2=map2, vertex=x1)
-
-
-def double_at(g: BoundaryGraph, x: int) -> DoubleResult:
-    """Wedge g with a disjoint copy of itself at x."""
-    w = wedge_sum(g, x, g, x)
-    assert w.graph.n == 2 * g.n - 1
-    return DoubleResult(graph=w.graph, wedge=w.vertex, map1=w.map1, map2=w.map2)
+        bnd = (g.boundary | {copy[v] for v in g.boundary}) - {x}
+    return build(2 * g.n - 1, edges, boundary=bnd, strict=g.strict)
 
 
 def add_pendant(g: BoundaryGraph, x: int) -> BoundaryGraph:
@@ -283,12 +231,7 @@ def remove_leaf(g: BoundaryGraph, v: int) -> tuple[BoundaryGraph, dict[int, int]
     """Delete leaf v, relabel ids to stay dense, return (graph, old->new map)."""
     if g.degree(v) != 1:
         raise GraphValidationError(f"vertex {v} is not a leaf")
-    relabel = {}
-    for old in range(g.n):
-        if old == v:
-            continue
-        relabel[old] = old if old < v else old - 1
-    edges = [(relabel[a], relabel[b]) for a, b in g.edges if v not in (a, b)]
+    edges, relabel = _induced(g, [u for u in range(g.n) if u != v])
     if g.is_default_boundary:
         bnd = None
     else:
@@ -468,15 +411,12 @@ def trees_isomorphic(g1: BoundaryGraph, g2: BoundaryGraph) -> bool:
     return g1.n == g2.n and tree_canonical_form(g1) == tree_canonical_form(g2)
 
 
-def is_subgraph(pattern: BoundaryGraph, host: BoundaryGraph, limit: int = 10) -> bool:
-    """Injective homomorphism test by backtracking.
-
-    Guarded by `limit` on both orders; raise it explicitly for the larger
-    rigidity checks (n <= 20).
-    """
-    if max(pattern.n, host.n) > limit:
+def is_subgraph(pattern: BoundaryGraph, host: BoundaryGraph) -> bool:
+    """Injective homomorphism test by backtracking, for graphs of at most
+    SUBGRAPH_LIMIT vertices (the rigidity checks' n <= 20)."""
+    if max(pattern.n, host.n) > SUBGRAPH_LIMIT:
         raise GraphValidationError(
-            f"subgraph check limited to {limit} vertices (got "
+            f"subgraph check limited to {SUBGRAPH_LIMIT} vertices (got "
             f"{pattern.n} and {host.n})"
         )
     if pattern.n > host.n or len(pattern.edges) > len(host.edges):

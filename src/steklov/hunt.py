@@ -36,8 +36,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InternalFault
-from .graphs import BoundaryGraph, add_pendant, build, random_tree
+from .errors import InternalFault, ParseError
+from .graphs import BoundaryGraph, _induced, add_pendant, build, random_tree
 from .serialize import to_edge_list
 from .spectral import steklov_spectra, steklov_spectrum
 
@@ -54,7 +54,7 @@ _HIST_EDGES = (-math.inf, -1e-8, 0.0, 1e-4, 1e-2, 0.1, 0.5, math.inf)
 
 @dataclass(frozen=True)
 class HuntConfig:
-    problem: str  # "1" (trees), "2" (general graphs), "fig1"
+    problem: str  # "1" (trees), "2" (general graphs)
     n_max: int
     k_min: int = 3
     k_max: int | None = None
@@ -66,7 +66,7 @@ class HuntConfig:
     def __post_init__(self):
         problem = str(self.problem)
         object.__setattr__(self, "problem", problem)
-        if problem not in {"1", "2", "fig1"}:
+        if problem not in {"1", "2"}:
             raise ValueError(f"unknown problem {problem!r}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
@@ -76,9 +76,8 @@ class HuntConfig:
             raise ValueError("k_max below k_min")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        floor = 6 if problem == "fig1" else 4
-        if self.n_max < floor:
-            raise ValueError(f"n_max must be >= {floor} for problem {problem}")
+        if self.n_max < 4:
+            raise ValueError(f"n_max must be >= 4 for problem {problem}")
 
     def to_json(self) -> dict:
         return {
@@ -282,7 +281,14 @@ class HuntReport:
 
     @staticmethod
     def load(path: str | Path) -> "HuntReport":
-        return HuntReport.from_json(json.loads(Path(path).read_text()))
+        """Read a saved report; a file that is not one raises ParseError."""
+        text = Path(path).read_text()
+        try:
+            return HuntReport.from_json(json.loads(text))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ParseError(
+                f"{path} is not a hunt report ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 def _hist_label(i: int) -> str:
@@ -530,13 +536,6 @@ def hunt_problem2(
 # the two-thirds pair
 
 
-def _delete_vertex(g: BoundaryGraph, v: int) -> BoundaryGraph:
-    keep = [u for u in range(g.n) if u != v]
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = [(relabel[a], relabel[b]) for a, b in g.edges if v not in (a, b)]
-    return build(len(keep), edges, boundary=None)
-
-
 def find_fig1(
     n_max: int | None = None, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CandidatePair:
@@ -552,7 +551,8 @@ def find_fig1(
         raise ValueError("n_max must be >= 6")
     cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
     g2 = build(6, cycle + [(0, 4), (2, 5)], boundary=None)
-    pair = make_pair(_delete_vertex(g2, 1), g2, None, "vertex_deletion", 2, 2, tol)
+    g1_edges, _ = _induced(g2, [0, 2, 3, 4, 5])  # delete cycle vertex 1
+    pair = make_pair(build(5, g1_edges), g2, None, "vertex_deletion", 2, 2, tol)
     lam1, lam2 = pair.eigenvalues1[1], pair.eigenvalues2[1]
     if abs(lam1 - 0.5) > REVERIFY_TOL or abs(lam2 - 2.0 / 3.0) > REVERIFY_TOL:
         raise InternalFault(f"fig1 pair has lambda_2 {lam1!r} -> {lam2!r}")

@@ -1,9 +1,10 @@
 """Reference routes the tests check the package against.
 
 None of them has a caller in the package: the dense flow solve is an
-independent oracle for the transfer recursion, and the Rayleigh quotient,
+independent oracle for the transfer recursion, the Rayleigh quotient,
 normal derivative and Green identity are the variational side of the
-Steklov problem.
+Steklov problem, and the wedge sum is the general gluing that
+`double_at` specialises.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from steklov import (
     GraphValidationError,
     LambdaFlow,
     NearSingular,
+    build,
     default_norm_vertex,
     laplacian_apply,
     laplacian_matrix,
@@ -91,3 +93,30 @@ def green_identity_gap(g: BoundaryGraph, f) -> float:
     energy = sum((f[u] - f[v]) ** 2 for u, v in g.edges)
     pairing = float(laplacian_apply(g, f) @ f)
     return abs(energy - pairing)
+
+
+def wedge_sum(
+    g1: BoundaryGraph, x1: int, g2: BoundaryGraph, x2: int
+) -> tuple[BoundaryGraph, int]:
+    """Glue g2 onto g1 by identifying x2 with x1; return the graph and the
+    glue vertex.  g1 keeps its ids and g2's other vertices follow in order."""
+    if not (0 <= x1 < g1.n and 0 <= x2 < g2.n):
+        raise GraphValidationError("glue vertex out of range")
+    map2 = {}
+    nxt = g1.n
+    for v in range(g2.n):
+        if v == x2:
+            map2[v] = x1
+        else:
+            map2[v] = nxt
+            nxt += 1
+    edges = list(g1.edges) + [(map2[a], map2[b]) for a, b in g2.edges]
+    is_tree_result = g1.is_tree and g2.is_tree
+    if is_tree_result and g1.is_default_boundary and g2.is_default_boundary:
+        bnd = None  # recompute as leaves
+    else:
+        bnd = set(g1.boundary) | {map2[v] for v in g2.boundary}
+        if g1.degree(x1) + g2.degree(x2) > 1:
+            bnd.discard(x1)
+    graph = build(nxt, edges, boundary=bnd, strict=g1.strict and g2.strict)
+    return graph, x1

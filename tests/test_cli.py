@@ -363,6 +363,41 @@ def test_vertex_out_of_range_is_validation(capsys):
     assert rc == 2
 
 
+def test_unreadable_input_file_is_validation(capsys, tmp_path):
+    rc, _, err = run(capsys, "spectrum", "--input", str(tmp_path / "missing.txt"))
+    assert rc == 2
+    assert err.startswith("validation error:") and "missing.txt" in err
+
+
+def test_unreadable_resume_file_is_validation(capsys, tmp_path):
+    rc, _, err = run(
+        capsys, "hunt", "1", "--nmax", "7", "--resume", str(tmp_path / "missing.json")
+    )
+    assert rc == 2
+    assert err.startswith("validation error:") and "missing.json" in err
+
+
+def _unknown_config_key(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    run(capsys, "hunt", "1", "--nmax", "7", "--budget", "10", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["config"]["colour"] = "blue"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [lambda *_: "{}", _unknown_config_key, lambda *_: "{not json"],
+    ids=["empty_object", "unknown_config_key", "bad_json"],
+)
+def test_resume_file_that_is_not_a_report_is_parse_error(capsys, tmp_path, make_text):
+    path = tmp_path / "resume.json"
+    path.write_text(make_text(tmp_path, capsys))
+    rc, _, err = run(capsys, "hunt", "1", "--nmax", "7", "--resume", str(path))
+    assert rc == 3
+    assert err.startswith("parse error:") and "is not a hunt report" in err
+
+
 def test_console_script_entry_point():
     import shutil
     import subprocess

@@ -28,8 +28,10 @@ from steklov import (
     tree_canonical_form,
     tree_center,
     trees_isomorphic,
-    wedge_sum,
 )
+from steklov.graphs import SUBGRAPH_LIMIT
+
+from oracles import wedge_sum
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +108,16 @@ def test_leaves():
 
 def test_branch_vertices_and_closed():
     g = path_tree(3)  # 0-1-2-3
-    ref = branch(g, 2, 1, closed=True)
-    assert set(ref.vertices) == {2, 3}
-    sub, relabel = ref.as_graph(g)
+    sub, relabel = branch(g, 2, 1)
     assert sub.n == 3
     assert sub.is_tree
     # relabeled copy of 1-2-3
-    assert relabel[1] == 0 and relabel[2] == 1 and relabel[3] == 2
-
-
-def test_branch_open_excludes_anchor():
-    g = star(3)
-    ref = branch(g, 1, 0, closed=False)
-    assert set(ref.vertices) == {1}
-    with pytest.raises(GraphValidationError):
-        ref.as_graph(g)  # single vertex cannot stand alone
+    assert relabel == {1: 0, 2: 1, 3: 2}
 
 
 def test_branch_single_edge_is_relaxed():
     g = star(3)
-    sub, relabel = branch(g, 1, 0, closed=True).as_graph(g)
+    sub, relabel = branch(g, 1, 0)
     assert sub.n == 2
     assert not sub.strict
     assert relabel[0] in sub.boundary
@@ -146,36 +138,68 @@ def test_branch_rejects_non_tree():
 # surgeries
 
 
-def test_wedge_of_two_edges_is_p3():
-    e = path_tree(1)
-    w = wedge_sum(e, 1, e, 0)
-    assert w.graph.n == 3
-    assert trees_isomorphic(w.graph, path_tree(2))
-    assert w.vertex == 1
+def _closed_component(g, u, v):
+    """branch(g, u, v) from scratch: the component of u once edge (u, v)
+    is gone, plus v, relabelled in id order."""
+    side = {u}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in g.edges:
+            if {a, b} != {u, v} and (a in side) != (b in side):
+                side |= {a, b}
+                grew = True
+    side.add(v)
+    relabel = {old: new for new, old in enumerate(sorted(side))}
+    edges = [(relabel[a], relabel[b]) for a, b in g.edges if a in side and b in side]
+    return build(len(side), edges, strict=len(side) > 2), relabel
+
+
+def test_branch_equals_the_relabelled_closed_component():
+    trees = [path_tree(1), path_tree(4), star(3), ball(2, 2), double_ball(2, 1)]
+    trees += [random_tree(n, seed) for n in range(3, 25) for seed in range(2)]
+    for g in trees:
+        for a, b in g.edges:
+            for u, v in ((a, b), (b, a)):
+                assert branch(g, u, v) == _closed_component(g, u, v)
 
 
 def test_double_at_leaf_counts():
     g = path_tree(2)
     d = double_at(g, 2)
-    assert d.graph.n == 2 * g.n - 1
-    assert trees_isomorphic(d.graph, path_tree(4))
-    assert d.graph.degree(d.wedge) == 2
+    assert d.n == 2 * g.n - 1
+    assert trees_isomorphic(d, path_tree(4))
+    assert d.degree(2) == 2
 
 
 def test_double_at_interior():
     g = path_tree(3)
     d = double_at(g, 1)
-    assert d.graph.n == 7
-    assert d.graph.degree(d.wedge) == 4
-    assert sorted(d.graph.degree(v) for v in range(7)) == [1, 1, 1, 1, 2, 2, 4]
+    assert d.n == 7
+    assert d.degree(1) == 4
+    assert sorted(d.degree(v) for v in range(7)) == [1, 1, 1, 1, 2, 2, 4]
 
 
-def test_double_maps_are_consistent():
-    g = star(3)
-    d = double_at(g, 1)
-    assert d.map1[1] == d.map2[1] == d.wedge
-    imgs = set(d.map1.values()) | set(d.map2.values())
-    assert imgs == set(range(d.graph.n))
+def test_double_at_equals_the_wedge_with_itself():
+    cases = _surgery_cases()
+    assert any(not g.is_tree for g in cases)
+    rejections = 0
+    for g in cases:
+        for x in range(g.n):
+            try:
+                wedge, glue = wedge_sum(g, x, g, x)
+            except GraphValidationError as exc:
+                with pytest.raises(GraphValidationError) as fast:
+                    double_at(g, x)
+                assert str(fast.value) == str(exc)
+                rejections += 1
+                continue
+            assert glue == x
+            assert double_at(g, x) == wedge
+    assert rejections > 0  # a boundary of x alone doubles to an empty one
+    for x in (-1, 4):
+        with pytest.raises(GraphValidationError, match="glue vertex out of range"):
+            double_at(path_tree(3), x)
 
 
 def test_add_pendant_then_remove_round_trip():
@@ -204,7 +228,7 @@ def _fresh(g):
     return BoundaryGraph(g.n, g.edges, g.boundary, g.strict)
 
 
-def _pendant_cases():
+def _surgery_cases():
     from steklov.hunt import _random_general_graph
 
     rng = random.Random(11)
@@ -230,7 +254,7 @@ def _pendant_cases():
 
 
 def test_add_pendant_equals_build_of_the_grown_edge_list():
-    cases = _pendant_cases()
+    cases = _surgery_cases()
     assert sum(not g.strict and not g.is_default_boundary for g in cases) > 5
     assert sum(g.strict and not g.is_default_boundary for g in cases) > 5
     strict_rejections = 0
@@ -375,8 +399,10 @@ def test_is_subgraph_basics():
 
 
 def test_is_subgraph_limit_guard():
-    with pytest.raises(GraphValidationError):
-        is_subgraph(path_tree(3), random_tree(15, 0), limit=10)
+    assert SUBGRAPH_LIMIT == 20
+    assert is_subgraph(path_tree(3), path_tree(SUBGRAPH_LIMIT - 1))
+    with pytest.raises(GraphValidationError, match="limited to 20 vertices"):
+        is_subgraph(path_tree(3), random_tree(21, 0))
 
 
 def test_frozen_graph_is_hashable_value():

@@ -116,9 +116,8 @@ def test_config_validation():
         HuntConfig(problem="7", n_max=9)
     with pytest.raises(ValueError):
         HuntConfig(problem="1", n_max=3)
-    with pytest.raises(ValueError):
-        HuntConfig(problem="fig1", n_max=5)
-    HuntConfig(problem="fig1", n_max=6)  # floor is inclusive
+    with pytest.raises(ValueError, match="unknown problem"):
+        HuntConfig(problem="fig1", n_max=6)  # fig1 is not a HuntConfig problem
 
 
 def test_config_normalizes_problem_and_round_trips():
@@ -291,7 +290,7 @@ def test_seed_changes_random_tail_only():
 
 def test_report_save_load_round_trip(tmp_path):
     pair = find_fig1(6)
-    cfg = HuntConfig(problem="fig1", n_max=6)
+    cfg = HuntConfig(problem="2", n_max=6)
     report = HuntReport(
         config=cfg,
         instances=1,
