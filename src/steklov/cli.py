@@ -9,6 +9,7 @@ failure, 3 parse failure, 4 resonance, 5 assertion-class violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -317,7 +318,9 @@ def _add_input_opts(p: argparse.ArgumentParser, formats=("table", "json", "dot")
     p.add_argument("--dot", metavar="PATH", help="also write DOT to PATH")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The steklov parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="steklov",
         description="Boundary spectra, flows, and law checks on marked graphs",

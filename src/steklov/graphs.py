@@ -24,8 +24,9 @@ SUBGRAPH_LIMIT = 20  # largest order is_subgraph backtracks over
 @dataclass(frozen=True)
 class BoundaryGraph:
     """A boundary-marked graph; construct it with ``build``, which
-    validates it and sorts its edges.  The constructor checks nothing, and
-    the surgeries trust that their inputs came from ``build``."""
+    validates it and sorts its edges.  The constructor checks nothing:
+    ``random_tree`` and ``add_pendant`` call it only on graphs valid by
+    construction, and the surgeries trust their inputs to be valid."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -155,8 +156,13 @@ def build(
 
 
 def leaves(g: BoundaryGraph) -> frozenset[int]:
-    """Vertices of degree 1."""
-    return frozenset(v for v in range(g.n) if g.degree(v) == 1)
+    """Vertices of degree 1, counted straight from the edge list: a graph
+    used once, like a hunt's random base tree, never builds its adjacency."""
+    degree = [0] * g.n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return frozenset(v for v, d in enumerate(degree) if d == 1)
 
 
 def _induced(
@@ -321,12 +327,15 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
 
 
 def random_tree(n: int, seed: int) -> BoundaryGraph:
-    """Uniform random labeled tree on n vertices via Prufer decoding."""
+    """Uniform random labeled tree on n vertices via Prufer decoding.  It
+    skips ``build``: a decode is always a tree whose leaves are the labels
+    absent from the sequence, and for n >= 3 that leaf boundary is strict."""
     if n < 3:
         raise GraphValidationError("random_tree needs n >= 3")
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    return build(n, _prufer_decode(seq, n))
+    leaf_set = frozenset(range(n)).difference(seq)
+    return BoundaryGraph(n, _normalize_edges(_prufer_decode(seq, n)), leaf_set)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ materializes only its window [cursor, budget) of the stream: it skips
 whole orders of the exhaustive sweep by their counted size, builds only
 the base graphs with an instance in the window, and stops enumerating at
 the window's end; each grown graph extends its valid base graph by one
-checked edge (`add_pendant`), without re-validation.  Pending
+checked edge (`add_pendant`), without re-validation, and each random tail
+tree comes straight from its Prufer decode (`random_tree`), which is a
+valid tree by construction and skips `build`.  Pending
 instances are evaluated in fixed chunks of CHUNK: each chunk makes one
 batched `steklov_spectra` call over its distinct base graphs and all its
 grown graphs, and `--workers` maps chunks to processes.  The batched
@@ -260,6 +262,19 @@ class HuntReport:
 
     @staticmethod
     def from_json(doc: dict) -> "HuntReport":
+        """The report of a document; a field of the wrong type raises TypeError."""
+        hist = doc["histogram"]
+        typed = {
+            "instances": type(doc["instances"]) is int,
+            "cursor": type(doc["cursor"]) is int,
+            "violations": isinstance(doc["violations"], list),
+            "histogram": isinstance(hist, dict)
+            and all(type(c) is int for c in hist.values()),
+            "status": doc["status"] in ("complete", "budget_exhausted"),
+        }
+        if not all(typed.values()):
+            wrong = ", ".join(key for key, ok in typed.items() if not ok)
+            raise TypeError(f"wrong type of {wrong}")
         return HuntReport(
             config=HuntConfig.from_json(doc["config"]),
             instances=doc["instances"],
@@ -364,7 +379,7 @@ def _random_general_graph(n: int, rng: random.Random) -> BoundaryGraph:
     """Random connected graph with degree-1 boundary: a tree plus a few
     extra edges between interior vertices (leaves stay leaves)."""
     t = random_tree(n, rng.randrange(2**32))
-    interior = sorted(v for v in range(t.n) if t.degree(v) >= 2)
+    interior = sorted(t.interior)
     edges = set(t.edges)
     if len(interior) >= 2:
         for _ in range(rng.randint(1, 3)):

@@ -3,9 +3,11 @@
 None of them has a caller in the package: the dense flow solve is an
 independent oracle for the transfer recursion, the Rayleigh quotient,
 normal derivative and Green identity are the variational side of the
-Steklov problem, and the wedge sum is the general gluing that
-`double_at` specialises.
+Steklov problem, the wedge sum is the general gluing that `double_at`
+specialises, and `prufer_tree` is `random_tree` validated by `build`.
 """
+
+import random
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from steklov import (
     laplacian_apply,
     laplacian_matrix,
 )
+from steklov.graphs import _prufer_decode
 
 # dense-solve system residual, relative to the largest flow value
 DENSE_FLOW_RESIDUAL = 1e-9
@@ -120,3 +123,11 @@ def wedge_sum(
             bnd.discard(x1)
     graph = build(nxt, edges, boundary=bnd, strict=g1.strict and g2.strict)
     return graph, x1
+
+
+def prufer_tree(n: int, seed: int) -> BoundaryGraph:
+    """random_tree(n, seed) through build: the Prufer decode of the same
+    draws, validated."""
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return build(n, _prufer_decode(seq, n))

@@ -377,10 +377,14 @@ def test_unreadable_resume_file_is_validation(capsys, tmp_path):
     assert err.startswith("validation error:") and "missing.json" in err
 
 
-def _unknown_config_key(tmp_path, capsys):
+def _saved_report(tmp_path, capsys) -> dict:
     path = tmp_path / "run.json"
     run(capsys, "hunt", "1", "--nmax", "7", "--budget", "10", "--out", str(path))
-    doc = json.loads(path.read_text())
+    return json.loads(path.read_text())
+
+
+def _unknown_config_key(tmp_path, capsys):
+    doc = _saved_report(tmp_path, capsys)
     doc["config"]["colour"] = "blue"
     return json.dumps(doc)
 
@@ -396,6 +400,73 @@ def test_resume_file_that_is_not_a_report_is_parse_error(capsys, tmp_path, make_
     rc, _, err = run(capsys, "hunt", "1", "--nmax", "7", "--resume", str(path))
     assert rc == 3
     assert err.startswith("parse error:") and "is not a hunt report" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("instances", "10"),
+        ("instances", True),
+        ("cursor", 10.0),
+        ("cursor", None),
+        ("violations", {}),
+        ("histogram", [0, 10]),
+        ("histogram", {"[0,0.0001)": "10"}),
+        ("status", "running"),
+    ],
+    ids=[
+        "instances_str", "instances_bool", "cursor_float", "cursor_null",
+        "violations_dict", "histogram_list", "histogram_str_count", "status_unknown",
+    ],
+)
+def test_resume_report_with_a_wrong_field_type_is_parse_error(
+    capsys, tmp_path, key, value
+):
+    doc = _saved_report(tmp_path, capsys)
+    doc[key] = value
+    path = tmp_path / "resume.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "hunt", "1", "--nmax", "7", "--resume", str(path))
+    assert (rc, out) == (3, "")
+    assert err.startswith("parse error:") and "is not a hunt report" in err
+    assert f"wrong type of {key}" in err
+
+
+def _python(*args):
+    """Exit code, stdout and stderr of a fresh interpreter on this package."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import steklov
+
+    src = str(Path(steklov.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_in_process_calls_share_one_parser_and_match_fresh_processes(capsys):
+    from steklov.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # a usage error first, so the second call runs on a parser that has exited once
+    calls = [("hunt", "1"), ("spectrum", "--gen", "path:4")]
+    in_process = []
+    for argv in calls:
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        in_process.append((rc, *capsys.readouterr()))
+    assert in_process == [_python("-m", "steklov.cli", *argv) for argv in calls]
+    assert in_process[0][0] == 2 and "--nmax" in in_process[0][2]
+    assert in_process[1] == (0, "0 0.5\n", "")
 
 
 def test_console_script_entry_point():
@@ -414,20 +485,7 @@ def test_console_script_entry_point():
 
 def test_cli_import_leaves_networkx_unloaded():
     # only hunts enumerate graphs; every other command runs without networkx
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import steklov
-
-    src = str(Path(steklov.__file__).resolve().parent.parent)
     code = "import sys, steklov.cli; print('networkx' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    rc, out, err = _python("-c", code)
+    assert rc == 0, err
+    assert out.strip() == "False"

@@ -31,7 +31,7 @@ from steklov import (
 )
 from steklov.graphs import SUBGRAPH_LIMIT
 
-from oracles import wedge_sum
+from oracles import prufer_tree, wedge_sum
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +282,14 @@ def test_add_pendant_rejects_out_of_range_vertex():
             add_pendant(path_tree(3), x)
 
 
+def test_leaves_counts_degrees_as_the_adjacency_does():
+    cases = _surgery_cases()
+    assert sum(not g.is_default_boundary for g in cases) > 10
+    for g in cases:
+        by_adjacency = frozenset(v for v in range(g.n) if len(g.adjacency[v]) == 1)
+        assert leaves(g) == by_adjacency
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -335,6 +343,17 @@ def test_random_tree_deterministic():
     assert random_tree(9, 5).edges == random_tree(9, 5).edges
     alternatives = {random_tree(9, s).edges for s in range(10)}
     assert len(alternatives) > 1
+
+
+def test_random_tree_equals_build_of_its_decode():
+    # random_tree skips build; the validated decode must give the same graph
+    for n in range(3, 201):
+        for seed in (0, 1, n, 7919 * n + 13):
+            fast = random_tree(n, seed)
+            slow = prufer_tree(n, seed)
+            assert fast == slow, (n, seed)
+            assert fast.adjacency == slow.adjacency
+            assert fast.is_default_boundary is True
 
 
 def test_prufer_bijection_count():

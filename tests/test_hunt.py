@@ -21,11 +21,12 @@ from steklov import (
     hunt_problem2,
     make_pair,
     path_tree,
-    random_tree,
     reverify,
     tree_canonical_form,
 )
 from steklov.hunt import _empty_histogram, _prefix_orders, _stream
+
+from oracles import prufer_tree
 
 # one tree per isomorphism class; the unlabeled-tree counting sequence
 TREE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -355,7 +356,8 @@ def _reference_prefix(cfg: HuntConfig) -> list[tuple]:
 def _reference_stream(cfg: HuntConfig, stop: int) -> list[tuple]:
     """Instances [0, stop) of the stream, fewer if it ends: the prefix, then
     one random base graph of order 11 (8 for problem 2) to n_max - 1 per
-    index, drawn from the sub-seed "seed:idx"."""
+    index, drawn from the sub-seed "seed:idx".  Tail trees are decoded and
+    validated here, independently of random_tree's trusted construction."""
     from steklov.hunt import _random_general_graph
 
     out = _reference_prefix(cfg)
@@ -367,7 +369,7 @@ def _reference_stream(cfg: HuntConfig, stop: int) -> list[tuple]:
             if cfg.problem == "2":
                 g1 = _random_general_graph(n, rng)
             else:
-                g1 = random_tree(n, rng.randrange(2**32))
+                g1 = prufer_tree(n, rng.randrange(2**32))
             out.append((g1, rng.randrange(g1.n)))
     return out[:stop]
 
