@@ -22,8 +22,10 @@ instances are evaluated in fixed chunks of CHUNK: each chunk makes one
 batched `steklov_spectra` call over its distinct base graphs and all its
 grown graphs, and `--workers` maps chunks to processes.  The batched
 kernel is bit-identical to one graph at a time, so chunking never changes
-a report.  networkx and the process pool are imported where a hunt first
-needs them, so the rest of the package runs without loading either.
+a report.  Problem 1's trees are generated and counted here, so only
+problem 2, which reads networkx's graph atlas, imports networkx; it and the
+process pool are imported where a hunt first needs them, so the rest of
+the package runs without loading either.
 """
 
 from __future__ import annotations
@@ -336,11 +338,67 @@ def enumerate_trees(n: int):
 
 
 def _tree_edges(n: int):
-    """The sorted edge list of each tree of enumerate_trees(n), unvalidated."""
-    import networkx as nx
+    """The sorted edge list of each free tree on n >= 2 vertices, unvalidated,
+    in networkx's `nonisomorphic_trees` order: the Wright-Richmond-Odlyzko-
+    McKay (1986) walk over level sequences (vertex i at depth layout[i], in
+    preorder), which visits only the canonical rooting of each free tree."""
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # a path
+    while layout is not None:
+        layout = _next_free_tree(layout)
+        last = {}  # depth -> the latest vertex at that depth, a parent
+        edges = []
+        for v, d in enumerate(layout):
+            if d:
+                edges.append((last[d - 1], v))
+            last[d] = v
+        yield sorted(edges)
+        layout = _next_rooted_tree(layout)
 
-    for t in nx.nonisomorphic_trees(n):
-        yield sorted(tuple(sorted(e)) for e in t.edges())
+
+def _next_rooted_tree(layout: list[int], p: int | None = None) -> list[int] | None:
+    """The Beyer-Hedetniemi successor of a rooted tree's level sequence,
+    changed from position p on (by default the last vertex deeper than 1);
+    None after the last one, the star."""
+    if p is None:
+        p = len(layout) - 1
+        while layout[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while layout[q] != layout[p] - 1:
+        q -= 1
+    out = list(layout)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _first_subtree_end(layout: list[int]) -> int:
+    """The end of the root's first subtree: its second child, or len(layout)."""
+    return next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
+
+
+def _next_free_tree(layout: list[int]) -> list[int]:
+    """layout if it is the canonical rooting of its free tree, or else the
+    next canonical one.  Canonical means that the root's first subtree is no
+    higher than the rest of the tree; if equally high, it has no more
+    vertices, and if also equally large, it is lexicographically no later."""
+    m = _first_subtree_end(layout)
+    left = [d - 1 for d in layout[1:m]]
+    rest = [0] + layout[m:]
+    high_left, high_rest = max(left), max(rest)
+    if high_left < high_rest or (
+        high_left == high_rest and (len(left), left) <= (len(rest), rest)
+    ):
+        return layout
+    # not canonical: jump past every rooting that keeps this first subtree
+    p = m - 1
+    out = _next_rooted_tree(layout, p)
+    if layout[p] > 2:
+        depth = max(out[1 : _first_subtree_end(out)])  # of the new first subtree
+        out[-depth:] = range(1, depth + 1)
+    return out
 
 
 @functools.cache
@@ -399,16 +457,38 @@ def _random_general_graph(n: int, rng: random.Random) -> BoundaryGraph:
 def _prefix_orders(cfg: HuntConfig) -> list[tuple[int, int, Iterable[list]]]:
     """(order n, instances of order n, base edge lists of order n) for each
     order of the exhaustive prefix.  Tree edge lists come lazily, so a
-    window can stop enumerating at its end; their count is networkx's."""
+    window can stop enumerating at its end; their number is `_tree_count`."""
     if cfg.problem == "2":
         orders = range(3, min(cfg.n_max - 1, 7) + 1)
         lists = [list(_atlas_edges(n)) for n in orders]
         return [(n, n * len(e), e) for n, e in zip(orders, lists)]
-    import networkx as nx
-
     orders = range(3, min(cfg.n_max - 1, 10) + 1)
-    counts = [nx.number_of_nonisomorphic_trees(n) for n in orders]
-    return [(n, n * c, _tree_edges(n)) for n, c in zip(orders, counts)]
+    return [(n, n * _tree_count(n), _tree_edges(n)) for n in orders]
+
+
+@functools.cache
+def _rooted_tree_count(n: int) -> int:
+    """Rooted trees on n vertices up to isomorphism (OEIS A000081)."""
+    if n < 2:
+        return n
+    total = sum(
+        d * _rooted_tree_count(d) * _rooted_tree_count(n - j)
+        for j in range(1, n)
+        for d in range(1, j + 1)
+        if j % d == 0
+    )
+    return total // (n - 1)
+
+
+@functools.cache
+def _tree_count(n: int) -> int:
+    """Free trees on n vertices up to isomorphism (OEIS A000055), from the
+    rooted counts by Otter's formula."""
+    r = _rooted_tree_count
+    pairs = sum(r(k) * r(n - k) for k in range(n + 1))
+    if n % 2 == 0:
+        pairs -= r(n // 2)
+    return r(n) - pairs // 2
 
 
 def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float]:
@@ -485,6 +565,11 @@ def _run_hunt(
                 "resume report comes from a different instance stream "
                 f"({ {k: old[k] for k in stream_keys} } vs "
                 f"{ {k: new[k] for k in stream_keys} })"
+            )
+        if resume.histogram.keys() != histogram.keys():
+            raise ParseError(
+                "resume report's histogram bins "
+                f"{sorted(resume.histogram)} are not the hunt's {list(histogram)}"
             )
         cursor = resume.cursor
         violations = list(resume.violations)

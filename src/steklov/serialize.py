@@ -71,19 +71,34 @@ def from_graph6(text: str, strict: bool = True) -> BoundaryGraph:
         line = line[len(">>graph6<<") :]
     if not line:
         raise ParseError("empty graph6 input")
-    import networkx as nx
-
+    n, edges = _graph6_edges(line)
     try:
-        h = nx.from_graph6_bytes(line.encode("ascii"))
-    except (nx.NetworkXError, ValueError, UnicodeEncodeError) as exc:
-        raise ParseError(f"invalid graph6 data: {exc}") from None
-    nodes = sorted(h.nodes())
-    index = {v: i for i, v in enumerate(nodes)}
-    edges = [(index[a], index[b]) for a, b in h.edges()]
-    try:
-        return build(len(nodes), edges, boundary=None, strict=strict)
+        return build(n, edges, boundary=None, strict=strict)
     except ValueError as exc:
         raise ParseError(f"graph6 describes an invalid graph: {exc}") from None
+
+
+def _graph6_edges(line: str) -> tuple[int, list[tuple[int, int]]]:
+    """The order and edges of one graph6 string without its header: the
+    inverse of to_graph6.  Bits past the last pair, the padding, are ignored."""
+    data = [ord(c) - 63 for c in line]
+    if not all(0 <= d < 64 for d in data):
+        raise ParseError("invalid graph6 data: characters must lie in '?'..'~'")
+    head = 1 if data[0] < 63 else 8 if data[1:2] == [63] else 4
+    if len(data) < head:
+        raise ParseError("invalid graph6 data: the order is cut short")
+    n = 0
+    for d in data[head // 4 : head]:  # past the 63 markers of a long order
+        n = n << 6 | d
+    body = data[head:]
+    need = (n * (n - 1) // 2 + 5) // 6  # checked first: a long order is huge
+    if len(body) != need:
+        raise ParseError(
+            f"invalid graph6 data: order {n} needs {need} characters of edges, "
+            f"got {len(body)}"
+        )
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return n, [e for t, e in enumerate(pairs) if body[t // 6] >> (5 - t % 6) & 1]
 
 
 def to_dot(g: BoundaryGraph) -> str:

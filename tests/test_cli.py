@@ -432,6 +432,24 @@ def test_resume_report_with_a_wrong_field_type_is_parse_error(
     assert f"wrong type of {key}" in err
 
 
+@pytest.mark.parametrize(
+    "histogram",
+    [{"foo": 3}, {"[-inf,-1e-08)": 0}],
+    ids=["unknown_bin", "missing_bins"],
+)
+def test_resume_report_with_foreign_histogram_bins_is_parse_error(
+    capsys, tmp_path, histogram
+):
+    doc = _saved_report(tmp_path, capsys)
+    doc["histogram"] = histogram
+    path = tmp_path / "resume.json"
+    path.write_text(json.dumps(doc))
+    argv = ("hunt", "1", "--nmax", "7", "--budget", "40", "--resume", str(path))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("parse error:") and "histogram bins" in err
+
+
 def _python(*args):
     """Exit code, stdout and stderr of a fresh interpreter on this package."""
     import os
@@ -483,9 +501,39 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == "0 0.5"
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # only hunts enumerate graphs; every other command runs without networkx
+def test_cli_import_leaves_networkx_unloaded(tmp_path):
+    # only hunt 2 reads networkx's atlas; every other command runs without it,
+    # graph6 input included
     code = "import sys, steklov.cli; print('networkx' in sys.modules)"
     rc, out, err = _python("-c", code)
     assert rc == 0, err
     assert out.strip() == "False"
+    g6 = tmp_path / "star.g6"
+    g6.write_text("Cs\n")  # the star on 4 vertices, centre 0
+    code = (
+        "import sys; from steklov.cli import main; "
+        f"rc = main(['verify', 'doubling', '--input', {str(g6)!r}, '--at', 'center']); "
+        "print(rc, 'networkx' in sys.modules)"
+    )
+    rc, out, err = _python("-c", code)
+    assert rc == 0, err
+    assert out.splitlines()[0].startswith("PASS doubling")
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_hunt1_runs_with_networkx_blocked(capsys, tmp_path):
+    # a None entry in sys.modules makes every import of networkx fail
+    argv = ["hunt", "1", "--nmax", "12", "--budget", "3000", "--kmin", "2"]
+    blocked, normal = tmp_path / "blocked.json", tmp_path / "normal.json"
+    code = (
+        "import sys; sys.modules['networkx'] = None; from steklov.cli import main; "
+        f"sys.exit(main({argv + ['--out', str(blocked)]!r}))"
+    )
+    rc, out, err = _python("-c", code)
+    assert rc == 0, err
+    assert out.startswith("budget_exhausted: 3000 instances, 0 violations")
+    assert run(capsys, *argv, "--out", str(normal))[0] == 0
+    docs = [json.loads(p.read_text()) for p in (blocked, normal)]
+    for doc in docs:
+        del doc["wall_time_s"], doc["config"]["out"]
+    assert docs[0] == docs[1]

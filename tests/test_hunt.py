@@ -57,6 +57,28 @@ def test_enumerate_trees_matches_prufer_oracle():
         assert set(enumerated) == oracle
 
 
+def test_tree_edges_match_networkx_order():
+    # the idx -> instance map of every report depends on this order
+    nx = pytest.importorskip("networkx")
+    from steklov.hunt import _tree_edges
+
+    for n in range(3, 15):
+        expected = [
+            sorted(tuple(sorted(e)) for e in t.edges())
+            for t in nx.nonisomorphic_trees(n)
+        ]
+        assert list(_tree_edges(n)) == expected, n
+
+
+def test_tree_count_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from steklov.hunt import _tree_count
+
+    for n in range(1, 21):
+        assert _tree_count(n) == nx.number_of_nonisomorphic_trees(n), n
+    assert [_tree_count(n) for n in TREE_COUNTS] == list(TREE_COUNTS.values())
+
+
 def test_enumerate_graphs_counts_and_shape():
     for n, count in GRAPH_COUNTS.items():
         if n > 6:

@@ -10,6 +10,8 @@ from steklov import (
     ParseError,
     ball,
     build,
+    enumerate_graphs,
+    enumerate_trees,
     from_edge_list,
     from_graph6,
     loads,
@@ -21,6 +23,7 @@ from steklov import (
     to_graph6,
     trees_isomorphic,
 )
+from steklov.serialize import _graph6_edges
 
 
 def test_edge_list_round_trip():
@@ -95,18 +98,44 @@ def test_graph6_round_trip_random(n, seed):
 
 
 def test_graph6_matches_networkx():
-    # orders to 62 take one header character, larger ones four; every
-    # padding length shows below 100 (networkx needs 10 s for all n to 300)
+    # both ways: the encoder's strings and the decoder's graphs agree with
+    # networkx's.  Orders to 62 take one header character, larger ones four;
+    # every padding length shows below 100 (networkx needs 10 s for all n to
+    # 300).  Trees to order 10 and the leafy atlas graphs are the graphs the
+    # hunts enumerate; complete graphs set every bit.
     nx = pytest.importorskip("networkx")
     sizes = [*range(3, 101), 200, 299, 300]
     graphs = [path_tree(1)] + [random_tree(n, n) for n in sizes]
-    for n in range(3, 12):  # complete graphs set every bit
+    graphs += [g for n in range(3, 11) for g in enumerate_trees(n)]
+    graphs += [g for n in range(3, 8) for g in enumerate_graphs(n)]
+    for n in range(3, 12):
         graphs.append(build(n, itertools.combinations(range(n), 2), boundary={0}))
     for g in graphs:
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges)
-        assert to_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip()
+        text = to_graph6(g)
+        assert text == nx.to_graph6_bytes(h, header=False).decode().strip()
+        n, edges = _graph6_edges(text)
+        assert (n, sorted(edges)) == (g.n, list(g.edges))
+        back = nx.from_graph6_bytes(text.encode("ascii"))
+        assert back.number_of_nodes() == n
+        assert sorted(tuple(sorted(e)) for e in back.edges()) == sorted(edges)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["~", "~~", "~?", "~??~", "C", "Cxx", "Dx", "C\x7f", "C{\x00"],
+    ids=["long_order_cut", "longer_order_cut", "long_order_short", "no_edges_63",
+         "no_edges", "too_many_edges", "too_few_edges", "char_above", "char_below"],
+)
+def test_graph6_malformed_input_is_parse_error(text):
+    nx = pytest.importorskip("networkx")
+    with pytest.raises(ParseError, match="invalid graph6 data"):
+        from_graph6(text)
+    if text[-1] != "\x00":  # networkx reads characters below '?' as negative bits
+        with pytest.raises((nx.NetworkXError, ValueError, IndexError)):
+            nx.from_graph6_bytes(text.encode("ascii"))
 
 
 def test_to_dot_marks_boundary():
