@@ -1,7 +1,9 @@
 """Central tolerance bundle.
 
 The CLI honors ``STEKLOV_TOL_<FIELD>`` environment overrides for every
-field; a few thresholds are still literals in the modules that use them.
+field.  The other thresholds are named constants in the modules that use
+them (``checks``, ``flows``, ``hunt``, ``spectral``); no override reaches
+those.
 """
 
 from __future__ import annotations

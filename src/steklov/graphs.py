@@ -326,6 +326,16 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n >= 1, draw for draw: CPython's
+    `_randbelow_with_getrandbits` without randrange's argument checks."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_tree(n: int, seed: int) -> BoundaryGraph:
     """Uniform random labeled tree on n vertices via Prufer decoding.  It
     skips ``build``: a decode is always a tree whose leaves are the labels
@@ -333,7 +343,7 @@ def random_tree(n: int, seed: int) -> BoundaryGraph:
     if n < 3:
         raise GraphValidationError("random_tree needs n >= 3")
     rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    seq = [_below(rng, n) for _ in range(n - 2)]
     leaf_set = frozenset(range(n)).difference(seq)
     return BoundaryGraph(n, _normalize_edges(_prufer_decode(seq, n)), leaf_set)
 

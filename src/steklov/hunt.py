@@ -18,32 +18,38 @@ the window's end; each grown graph extends its valid base graph by one
 checked edge (`add_pendant`), without re-validation, and each random tail
 tree comes straight from its Prufer decode (`random_tree`), which is a
 valid tree by construction and skips `build`.  Pending
-instances are evaluated in fixed chunks of CHUNK: each chunk makes one
-batched `steklov_spectra` call over its distinct base graphs and all its
-grown graphs, and `--workers` maps chunks to processes.  The batched
-kernel is bit-identical to one graph at a time, so chunking never changes
-a report.  Problem 1's trees are generated and counted here, so only
-problem 2, which reads networkx's graph atlas, imports networkx; it and the
-process pool are imported where a hunt first needs them, so the rest of
-the package runs without loading either.
+instances are evaluated in fixed chunks of CHUNK: each chunk asks the
+stacked kernel for the eigenvalues alone (`spectral._eigenvalues`, every
+check of `steklov_spectra` but no eigenvector signs or Spectrum objects)
+in one call over its distinct base graphs and all its grown graphs, and
+builds a CandidatePair only for a violation; `--workers` maps chunks to
+processes.  The batched kernel is bit-identical to one graph at a time,
+so chunking never changes a report.  Problem 1's trees are generated and
+counted here, so only problem 2, which reads networkx's graph atlas,
+imports networkx; it and the process pool are imported where a hunt first
+needs them, so the rest of the package runs without loading either.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import sub
 from pathlib import Path
 from typing import Iterable
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InternalFault, ParseError
-from .graphs import BoundaryGraph, _induced, add_pendant, build, random_tree
+from .graphs import BoundaryGraph, _below, _induced, add_pendant, build, random_tree
 from .serialize import to_edge_list
-from .spectral import steklov_spectra, steklov_spectrum
+from .spectral import _eigenvalues
+# unused here, but bench/test_bench.py's tracer test reads this binding
+from .spectral import steklov_spectrum  # noqa: F401
 
 VIOLATION_TOL = 1e-8
 REVERIFY_TOL = 1e-9
@@ -173,6 +179,15 @@ def _graph_from_doc(doc: dict) -> BoundaryGraph:
     )
 
 
+def _window(w1: list[float], w2: list[float], k_min: int, k_max: int | None) -> slice:
+    """The list positions of the indices k_min <= k <= k_max that two
+    ascending spectra share; position k - 1 holds lambda_k."""
+    top = min(len(w1), len(w2))
+    if k_max is not None:
+        top = min(top, k_max)
+    return slice(k_min - 1, top)
+
+
 def _compare(
     g1: BoundaryGraph,
     g2: BoundaryGraph,
@@ -185,10 +200,8 @@ def _compare(
 ) -> CandidatePair:
     """The pair with margins lambda_k(g1) - lambda_k(g2) for every shared
     index k in the window, from the two ascending spectra."""
-    top = min(len(w1), len(w2))
-    if k_max is not None:
-        top = min(top, k_max)
-    margins = {k: w1[k - 1] - w2[k - 1] for k in range(k_min, top + 1)}
+    win = _window(w1, w2, k_min, k_max)
+    margins = dict(enumerate(map(sub, w1[win], w2[win]), start=k_min))
     return CandidatePair(g1, g2, attachment, relation, tuple(w1), tuple(w2), margins)
 
 
@@ -202,8 +215,7 @@ def make_pair(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CandidatePair:
     """Compare lambda_k(g1) against lambda_k(g2) for every shared index k."""
-    w1 = steklov_spectrum(g1, tol).eigenvalues.tolist()
-    w2 = steklov_spectrum(g2, tol).eigenvalues.tolist()
+    w1, w2 = _eigenvalues([g1, g2], tol)
     return _compare(g1, g2, attachment, relation, w1, w2, k_min, k_max)
 
 
@@ -308,21 +320,20 @@ class HuntReport:
             ) from exc
 
 
-def _hist_label(i: int) -> str:
-    lo, hi = _HIST_EDGES[i], _HIST_EDGES[i + 1]
-    return f"[{lo:g},{hi:g})"
+_HIST_LABELS = tuple(
+    f"[{lo:g},{hi:g})" for lo, hi in zip(_HIST_EDGES, _HIST_EDGES[1:])
+)
 
 
 def _empty_histogram() -> dict[str, int]:
-    return {_hist_label(i): 0 for i in range(len(_HIST_EDGES) - 1)}
+    return dict.fromkeys(_HIST_LABELS, 0)
 
 
 def _hist_add(hist: dict[str, int], value: float) -> None:
-    for i in range(len(_HIST_EDGES) - 1):
-        if _HIST_EDGES[i] <= value < _HIST_EDGES[i + 1]:
-            hist[_hist_label(i)] += 1
-            return
-    hist[_hist_label(len(_HIST_EDGES) - 2)] += 1  # value == +inf
+    """Count value in the bin [lo, hi) that holds it; +inf and NaN, which
+    no bin holds, count in the last."""
+    i = bisect.bisect(_HIST_EDGES, value, 1, len(_HIST_EDGES) - 1)  # inner edges
+    hist[_HIST_LABELS[i - 1]] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +531,14 @@ def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float
     if hi < lo:
         return out, start
     for idx in range(max(cursor, start), stop):
+        # _below(rng, m) is rng.randrange(m), draw for draw, and cheaper
         rng = random.Random(f"{cfg.seed}:{idx}")
-        n = rng.randint(lo, hi)
+        n = lo + _below(rng, hi - lo + 1)  # rng.randint(lo, hi)
         if cfg.problem == "2":
             g1 = _random_general_graph(n, rng)
         else:
-            g1 = random_tree(n, rng.randrange(2**32))
-        out.append((g1, rng.randrange(g1.n)))
+            g1 = random_tree(n, _below(rng, 2**32))
+        out.append((g1, _below(rng, g1.n)))
     return out, math.inf
 
 
@@ -534,18 +546,29 @@ def _eval_chunk(payload: tuple) -> list[tuple[float, dict | None]]:
     """Worker body: a chunk of pendant instances in one batched eigensolve.
 
     Each distinct base graph is solved once; every grown graph is solved.
-    Returns (min margin, violation document or None) per instance, in order.
+    A base graph repeats by identity (the stream builds each one once, and
+    pickling a chunk keeps shared objects shared), so bases are told apart
+    by id, without hashing their edges.  Returns (min margin, violation
+    document or None) per instance, in order.
     """
     instances, k_min, k_max, tol = payload
-    bases = list(dict.fromkeys(g1 for g1, _x in instances))
+    row: dict[int, int] = {}  # id of a base graph -> its row in eigs
+    bases = []
+    for g1, _x in instances:
+        if id(g1) not in row:
+            row[id(g1)] = len(bases)
+            bases.append(g1)
     grown = [add_pendant(g1, x) for g1, x in instances]
-    eigs = [s.eigenvalues.tolist() for s in steklov_spectra(bases + grown, tol)]
-    base_eigs = dict(zip(bases, eigs))
+    eigs = _eigenvalues(bases + grown, tol)
     out = []
     for (g1, x), g2, w2 in zip(instances, grown, eigs[len(bases):]):
-        pair = _compare(g1, g2, x, "pendant", base_eigs[g1], w2, k_min, k_max)
-        doc = pair.to_json() if pair.min_margin < -VIOLATION_TOL else None
-        out.append((pair.min_margin, doc))
+        w1 = eigs[row[id(g1)]]
+        win = _window(w1, w2, k_min, k_max)
+        margin = min(map(sub, w1[win], w2[win]), default=math.inf)
+        doc = None
+        if margin < -VIOLATION_TOL:
+            doc = _compare(g1, g2, x, "pendant", w1, w2, k_min, k_max).to_json()
+        out.append((margin, doc))
     return out
 
 

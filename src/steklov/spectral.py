@@ -6,15 +6,19 @@ numpy, with the sign of each eigenvector fixed so output is deterministic;
 a cyclic Jacobi solver in the test suite serves as the independent
 reference.  Boundary data is always ordered by ascending vertex id.
 
-One kernel serves every caller: `steklov_spectra` groups its graphs by
-(n, boundary size) and solves each group as a stack.  The Laplacian blocks
-come from one scatter of the edge lists, the Schur complements from one
-stacked solve and matmul, the eigenpairs from one stacked `eigh`, and the
-symmetry, row-sum and residual checks are stacked reductions.  LAPACK runs
-the same routine on each matrix of a stack, so a batch gives bit-identical
-results to one graph at a time; `steklov_spectrum` and `dtn_matrix` are
-batches of one.  Hunts batch a chunk of instances per call, which pays the
-numpy call overhead once per group and not once per graph.
+One kernel serves every caller: graphs are grouped by (n, boundary size)
+and each group is solved as a stack.  The Laplacian blocks come from one
+scatter of the edge lists, the Schur complements from one stacked solve
+and matmul, the eigenpairs from one stacked `eigh`, and the symmetry,
+row-sum and residual checks are stacked reductions.  LAPACK runs the same
+routine on each matrix of a stack, so a batch gives bit-identical results
+to one graph at a time.  The kernel has two entry points.
+`steklov_spectra` adds the sign rule, checks each graph's range as it
+writes its notes, and builds Spectrum objects (`steklov_spectrum` and
+`dtn_matrix` are batches of one).  `_eigenvalues` returns the eigenvalues
+alone, with the range checks as stacked reductions, for callers that read
+nothing else.  Hunts ask for a chunk of instances' eigenvalues per call,
+which pays the numpy call overhead once per group and not once per graph.
 """
 
 from __future__ import annotations
@@ -262,6 +266,32 @@ def _range_notes(g: BoundaryGraph, w: np.ndarray) -> tuple[str, ...]:
     return tuple(notes)
 
 
+def _solve_stack(
+    graphs: list[BoundaryGraph], tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (zero-snapped) and eigenvectors (signs as LAPACK leaves
+    them) of a stack of graphs that share n and the boundary size.
+
+    The DtN and residual checks are stacked reductions; the first flagged
+    graph of the stack raises.  Negating an eigenvector negates its
+    residual exactly, so the check reads the same before the sign rule as
+    after it.  The range checks are the caller's.
+    """
+    mat = _dtn_stack(graphs, tol)
+    try:
+        w, vec = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK eigh failed: {exc}") from None
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(1, 2)))
+    residual = np.abs(mat @ vec - vec * w[:, None, :]).max(axis=(1, 2))
+    bad = residual > tol.eigen_residual * scale
+    if bad.any():
+        raise EigensolverError(
+            f"eigen residual {residual[bad.argmax()]:.3e} out of bounds"
+        )
+    return np.where(np.abs(w) < ZERO_SNAP, 0.0, w), vec
+
+
 def steklov_spectra(
     graphs: Iterable[BoundaryGraph], tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[Spectrum]:
@@ -278,24 +308,11 @@ def steklov_spectra(
     spectra: list = [None] * len(graphs)
     for idxs in _groups(graphs):
         group = [graphs[i] for i in idxs]
-        mat = _dtn_stack(group, tol)
-        try:
-            w, vec = np.linalg.eigh(mat)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"LAPACK eigh failed: {exc}") from None
+        w, vec = _solve_stack(group, tol)
         # deterministic sign: largest-magnitude entry of each column positive
         top = np.argmax(np.abs(vec), axis=1)
         lead = vec[np.arange(len(group))[:, None], top, np.arange(w.shape[1])]
         vec = vec * np.where(lead < 0, -1.0, 1.0)[:, None, :]
-        scale = np.maximum(1.0, np.abs(mat).max(axis=(1, 2)))
-        residual = np.abs(mat @ vec - vec * w[:, None, :]).max(axis=(1, 2))
-        bad = residual > tol.eigen_residual * scale
-        if bad.any():
-            raise EigensolverError(
-                f"eigen residual {residual[bad.argmax()]:.3e} out of bounds"
-            )
-        w = np.where(np.abs(w) < ZERO_SNAP, 0.0, w)
-
         for j, (i, g) in enumerate(zip(idxs, group)):
             spectra[i] = Spectrum(
                 graph=g,
@@ -305,6 +322,34 @@ def steklov_spectra(
                 notes=_range_notes(g, w[j]),
             )
     return spectra
+
+
+def _eigenvalues(
+    graphs: list[BoundaryGraph], tol: Tolerances = DEFAULT_TOLERANCES
+) -> list[list[float]]:
+    """The ascending eigenvalues of each graph, in input order: the stacks
+    and every check of `steklov_spectra`, bit-identical to its eigenvalues,
+    without eigenvector signs, Spectrum objects or notes.
+
+    The strict range checks are stacked reductions here, where
+    `steklov_spectra` makes them per graph with its notes; a flagged strict
+    graph raises through `_range_notes`, with the same message.
+    """
+    rows: list = [None] * len(graphs)
+    for idxs in _groups(graphs):
+        group = [graphs[i] for i in idxs]
+        w, _vec = _solve_stack(group, tol)
+        # the conditions under which _range_notes raises for a strict graph
+        flagged = np.abs(w[:, 0]) > LAMBDA1_ZERO
+        flagged |= w[:, -1] > 1.0 + LAMBDA_MAX_SLACK
+        if w.shape[1] >= 2:
+            flagged |= w[:, 1] <= LAMBDA2_FLOOR
+        for j in np.flatnonzero(flagged):
+            if group[j].strict:
+                _range_notes(group[j], w[j])  # raises
+        for i, row in zip(idxs, w.tolist()):
+            rows[i] = row
+    return rows
 
 
 def steklov_spectrum(

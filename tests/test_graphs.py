@@ -29,7 +29,7 @@ from steklov import (
     tree_center,
     trees_isomorphic,
 )
-from steklov.graphs import SUBGRAPH_LIMIT
+from steklov.graphs import SUBGRAPH_LIMIT, _below
 
 from oracles import prufer_tree, wedge_sum
 
@@ -354,6 +354,19 @@ def test_random_tree_equals_build_of_its_decode():
             assert fast == slow, (n, seed)
             assert fast.adjacency == slow.adjacency
             assert fast.is_default_boundary is True
+
+
+def test_below_draws_as_randrange_and_randint_do():
+    sizes = list(range(1, 71)) + [2**k for k in range(41)] + [2**32, 2**32 + 1]
+    for seed in (0, 1, 12345, "3:1806"):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            for _ in range(3):
+                assert _below(ours, n) == theirs.randrange(n), (seed, n)
+        for lo, hi in ((0, 0), (11, 11), (11, 13), (8, 15), (-5, 64), (3, 2**32)):
+            for _ in range(3):
+                assert lo + _below(ours, hi - lo + 1) == theirs.randint(lo, hi)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_prufer_bijection_count():

@@ -24,7 +24,13 @@ from steklov import (
     reverify,
     tree_canonical_form,
 )
-from steklov.hunt import _empty_histogram, _prefix_orders, _stream
+from steklov.hunt import (
+    _HIST_EDGES,
+    _empty_histogram,
+    _hist_add,
+    _prefix_orders,
+    _stream,
+)
 
 from oracles import prufer_tree
 
@@ -352,6 +358,52 @@ def test_histogram_bins_are_fixed():
     assert sum(rep.histogram.values()) == 5
 
 
+def test_hist_add_bins_as_the_edge_scan_does():
+    def scanned(value):
+        """The bin of the plain scan: the first [lo, hi) that holds value,
+        else the last bin (+inf and NaN)."""
+        for i in range(len(_HIST_EDGES) - 1):
+            if _HIST_EDGES[i] <= value < _HIST_EDGES[i + 1]:
+                return i
+        return len(_HIST_EDGES) - 2
+
+    labels = list(_empty_histogram())
+    values = [math.nan, -math.inf, math.inf, 0.3, -1.0, 1e-5, 7.0]
+    values += list(_HIST_EDGES) + [math.nextafter(e, -math.inf) for e in _HIST_EDGES]
+    for value in values:
+        hist = _empty_histogram()
+        _hist_add(hist, value)
+        want = {label: int(i == scanned(value)) for i, label in enumerate(labels)}
+        assert hist == want, value
+
+
+@pytest.mark.parametrize(
+    "n_max, budget, seed, counts",
+    [
+        (12, 3000, 0, [0, 796, 1291, 587, 319, 7, 0]),
+        (14, 6000, 3, [0, 1407, 2529, 1549, 508, 7, 0]),
+    ],
+)
+def test_hunt1_histograms_are_frozen(n_max, budget, seed, counts):
+    # an instance whose margin moves across a bin edge changes these counts
+    cfg = HuntConfig(problem="1", n_max=n_max, k_min=2, budget=budget, seed=seed)
+    report = hunt_problem1(cfg)
+    assert list(report.histogram.values()) == counts
+    assert report.violations == []
+
+
+def test_make_pair_eigenvalues_are_the_spectra_eigenvalues():
+    from steklov import random_tree, steklov_spectrum
+
+    for n, seed in ((4, 0), (9, 1), (13, 7), (30, 2)):
+        g1 = random_tree(n, seed)
+        for x in (0, n - 1):
+            g2 = add_pendant(g1, x)
+            pair = make_pair(g1, g2, x, "pendant", 2, None)
+            assert list(pair.eigenvalues1) == steklov_spectrum(g1).eigenvalues.tolist()
+            assert list(pair.eigenvalues2) == steklov_spectrum(g2).eigenvalues.tolist()
+
+
 def test_instance_stream_ignores_budget():
     a = HuntConfig(problem="1", n_max=13, k_min=3, budget=10, seed=4)
     b = HuntConfig(problem="1", n_max=13, k_min=3, budget=5000, seed=4)
@@ -458,7 +510,7 @@ def test_end_of_stream_status(problem, n_max, end):
 
 def _recompute(cfg: HuntConfig) -> dict:
     """The report of cfg rebuilt one instance at a time through make_pair."""
-    from steklov.hunt import VIOLATION_TOL, _hist_add
+    from steklov.hunt import VIOLATION_TOL
 
     instances = _reference_stream(cfg, cfg.budget + 1)
     hist, violations = _empty_histogram(), []
@@ -524,14 +576,13 @@ def test_one_batched_solve_per_chunk(monkeypatch):
     from steklov.config import DEFAULT_TOLERANCES
 
     sizes = []
-    batched = hunt.steklov_spectra
+    batched = hunt._eigenvalues
 
     def counted(graphs, tol):
-        graphs = list(graphs)
         sizes.append(len(graphs))
         return batched(graphs, tol)
 
-    monkeypatch.setattr(hunt, "steklov_spectra", counted)
+    monkeypatch.setattr(hunt, "_eigenvalues", counted)
     hunt_problem1(HuntConfig(problem="1", n_max=12, k_min=2, budget=600))
     assert len(sizes) == 3  # chunks of 256, 256 and 88 instances
 

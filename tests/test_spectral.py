@@ -329,9 +329,24 @@ def _mixed_graphs():
     return graphs
 
 
+def _spectra_values(graphs, tol=Tolerances()):
+    return [s.eigenvalues.tolist() for s in steklov_spectra(graphs, tol)]
+
+
+# the kernel's two entry points, each as eigenvalue rows in input order: the
+# Spectrum path and the values-only path that hunts take
+ENTRY_POINTS = (_spectra_values, spectral._eigenvalues)
+
+
 def test_spectra_bit_identical_to_per_graph_arithmetic():
     graphs = _mixed_graphs()
     assert len(graphs) > 250
+    reference = [_reference_spectrum(g) for g in graphs]
+    for values in ENTRY_POINTS:
+        rows = values(graphs)
+        assert len(rows) == len(graphs)
+        for row, (_mat, w, _vec) in zip(rows, reference):
+            assert type(row) is list and row == w.tolist()
     for g, s in zip(graphs, steklov_spectra(graphs)):
         mat, w, vec = _reference_spectrum(g)
         assert np.array_equal(s.eigenvalues, w)
@@ -342,8 +357,14 @@ def test_spectra_bit_identical_to_per_graph_arithmetic():
 
 def test_spectra_independent_of_batch_order_and_size():
     graphs = _mixed_graphs()
-    batched = steklov_spectra(graphs)
     perm = np.random.default_rng(3).permutation(len(graphs))
+    for values in ENTRY_POINTS:
+        rows = values(graphs)
+        shuffled = values([graphs[i] for i in perm])
+        assert [shuffled[k] for k in np.argsort(perm)] == rows
+        assert [values([g])[0] for g in graphs[::7]] == rows[::7]
+        assert values([]) == []
+    batched = steklov_spectra(graphs)
     shuffled = steklov_spectra([graphs[i] for i in perm])
     for k, i in enumerate(perm):
         assert np.array_equal(shuffled[k].eigenvalues, batched[i].eigenvalues)
@@ -365,20 +386,53 @@ def test_spectra_notes_follow_each_graph():
 
 def test_spectra_errors_are_typed_inside_a_batch():
     graphs = [random_tree(n, n) for n in range(4, 20)]
-    with pytest.raises(EigensolverError, match="eigen residual"):
-        steklov_spectra(graphs, Tolerances(eigen_residual=0))
     bare = BoundaryGraph(3, ((0, 1), (1, 2)), frozenset())
-    with pytest.raises(GraphValidationError, match="no boundary"):
-        steklov_spectra(graphs + [bare])
+    for values in ENTRY_POINTS:
+        with pytest.raises(EigensolverError, match="eigen residual"):
+            values(graphs, Tolerances(eigen_residual=0))
+        with pytest.raises(InternalFault, match="DtN asymmetry"):
+            values(graphs, Tolerances(dtn_symmetry=-1.0))
+        with pytest.raises(InternalFault, match="DtN row sums"):
+            values(graphs, Tolerances(dtn_rowsum=-1.0))
+        with pytest.raises(GraphValidationError, match="no boundary"):
+            values(graphs + [bare])
     with pytest.raises(GraphValidationError, match="no boundary"):
         dtn_matrix(bare)
 
 
+def test_strict_graph_out_of_range_raises_alike_through_both_entry_points():
+    # the raw constructor admits what build rejects: a strict path 0-1-2-3
+    # whose boundary {0, 1, 3} has the edge (0, 1); its lambda_max is
+    # (3 + sqrt 3) / 2, and it shares a stack with two stars
+    bad = BoundaryGraph(4, ((0, 1), (1, 2), (2, 3)), frozenset({0, 1, 3}))
+    with pytest.raises(InternalFault) as alone:
+        steklov_spectrum(bad)
+    assert str(alone.value) == "lambda_max = 2.366025403784 exceeds 1"
+    for values in ENTRY_POINTS:
+        with pytest.raises(InternalFault) as batched:
+            values([star(3), bad, star(3)])
+        assert str(batched.value) == str(alone.value)
+
+
 def test_spectra_range_checks_inside_a_batch(monkeypatch):
-    # path_tree(3) has spectrum {0, 2/3}
-    monkeypatch.setattr(spectral, "LAMBDA2_FLOOR", 0.7)
-    with pytest.raises(InternalFault, match="lambda_2"):
-        steklov_spectra([random_tree(9, 1), path_tree(3)])
+    # path_tree(3) has spectrum {0, 2/3}, each star {0, 1, ..., 1}, and the
+    # relaxed path_tree(1) {0, 2}; path_tree(3) is the one strict graph that
+    # each lowered bound flags, and a relaxed graph is never range-checked
+    cases = [
+        ("LAMBDA1_ZERO", -1.0, [], "lambda_1 = 0.000e+00 is not zero"),
+        ("LAMBDA2_FLOOR", 0.7, [star(3), star(5)],
+         "lambda_2 = 6.667e-01 is not positive"),
+        ("LAMBDA_MAX_SLACK", -0.5, [], "lambda_max = 0.666666666667 exceeds 1"),
+    ]
+    for bound, value, others, message in cases:
+        with monkeypatch.context() as m:
+            m.setattr(spectral, bound, value)
+            for values in ENTRY_POINTS:
+                with pytest.raises(InternalFault) as exc:
+                    values([*others[:1], path_tree(1), path_tree(3), *others[1:]])
+                assert str(exc.value) == message, bound
+    for values in ENTRY_POINTS:
+        assert values([path_tree(1)]) == [[0.0, 2.0]]
 
 
 # ---------------------------------------------------------------------------
