@@ -6,7 +6,6 @@ from .errors import (
     EigensolverError,
     GraphValidationError,
     InternalFault,
-    NearSingular,
     NormalizationFailure,
     ParseError,
     ResonantLambda,
@@ -43,7 +42,6 @@ from .serialize import (
 from .spectral import (
     DtnMatrix,
     Spectrum,
-    check_steklov_system,
     dtn_matrix,
     harmonic_extension,
     lambda2,
@@ -55,15 +53,12 @@ from .spectral import (
 from .flows import (
     LambdaFlow,
     SigmaResult,
-    TransferPair,
     default_norm_vertex,
     edge_flow_residual,
     flow_to_json,
     positivity_check,
     sigma,
-    sigma_upper_bound,
     solve_flow,
-    transfer_pairs,
     verify_flow,
 )
 from .checks import (
@@ -82,8 +77,6 @@ from .hunt import (
     CandidatePair,
     HuntConfig,
     HuntReport,
-    enumerate_graphs,
-    enumerate_trees,
     find_fig1,
     hunt_problem1,
     hunt_problem2,

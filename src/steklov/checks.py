@@ -22,7 +22,8 @@ from .errors import GraphValidationError
 from .flows import sigma
 from .graphs import (
     BoundaryGraph,
-    _component,
+    _arms,
+    _bfs,
     _induced,
     branch,
     build,
@@ -223,13 +224,13 @@ def diameter_decomposition(g: BoundaryGraph) -> DiameterDecomposition:
     _require_leaf_boundary_tree(g)
     path = diametral_path(g)
     counts = []
-    components: list[set[int]] = []
+    components: list[list[int]] = []
     for k, xk in enumerate(path):
         # on a tree, deleting the path edges at xk is blocking its path neighbors
         blocked = set(path[max(k - 1, 0) : k + 2]) - {xk}
-        comp = _component(g.adjacency, xk, blocked)
+        comp = _bfs(g.adjacency, xk, blocked)[0]  # xk first
         components.append(comp)
-        counts.append(len((comp - {xk}) & g.boundary))
+        counts.append(len(g.boundary.intersection(comp[1:])))
     h2: BoundaryGraph | None = None
     h2_center: int | None = None
     length = len(path) - 1
@@ -318,17 +319,8 @@ def doubled_branch_graph(D: int, R: int) -> BoundaryGraph:
     if D < 2 or R < 1:
         raise GraphValidationError("need D >= 2 and R >= 1")
     edges = [(0, 1)]
-    frontier = [1]
-    nxt = 2
-    for _ in range(R - 1):
-        new_frontier = []
-        for u in frontier:
-            for _ in range(D):
-                edges.append((u, nxt))
-                new_frontier.append(nxt)
-                nxt += 1
-        frontier = new_frontier
-    half = build(nxt, edges, boundary=None, strict=nxt > 2)
+    n = _arms(edges, [1], 2, D, R - 1)
+    half = build(n, edges, boundary=None, strict=n > 2)
     return double_at(half, 0)
 
 

@@ -27,7 +27,6 @@ from .checks import (
 from .config import Tolerances
 from .errors import (
     GraphValidationError,
-    NearSingular,
     NormalizationFailure,
     ParseError,
     ResonantLambda,
@@ -37,7 +36,6 @@ from .flows import flow_to_json, sigma, solve_flow
 from .graphs import (
     BoundaryGraph,
     ball,
-    build,
     diameter,
     double_ball,
     leaves,
@@ -46,7 +44,14 @@ from .graphs import (
     star,
     tree_center,
 )
-from .hunt import HuntConfig, HuntReport, find_fig1, hunt_problem1, hunt_problem2
+from .hunt import (
+    HuntConfig,
+    HuntReport,
+    _fig1_graph,
+    find_fig1,
+    hunt_problem1,
+    hunt_problem2,
+)
 from .serialize import loads, to_dot, to_edge_list, to_graph6
 from .spectral import steklov_spectrum
 
@@ -67,24 +72,20 @@ def from_spec(spec: str, seed: int) -> BoundaryGraph:
         params = [int(tok) for tok in argstr.split(",") if tok] if argstr else []
     except ValueError as exc:
         raise ParseError(f"bad generator parameters in {spec!r}") from exc
-    try:
-        if name == "path" and len(params) == 1:
-            return path_tree(params[0])
-        if name == "star" and len(params) == 1:
-            return star(params[0])
-        if name == "ball" and len(params) == 2:
-            return ball(params[0], params[1])
-        if name in {"double_ball", "dball"} and len(params) == 2:
-            return double_ball(params[0], params[1])
-        if name == "random" and len(params) in {1, 2}:
-            n = params[0]
-            s = params[1] if len(params) == 2 else seed
-            return random_tree(n, s)
-        if name == "fig1" and not params:
-            cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
-            return build(6, cycle + [(0, 4), (2, 5)], boundary=None)
-    except GraphValidationError:
-        raise
+    if name == "path" and len(params) == 1:
+        return path_tree(params[0])
+    if name == "star" and len(params) == 1:
+        return star(params[0])
+    if name == "ball" and len(params) == 2:
+        return ball(params[0], params[1])
+    if name in {"double_ball", "dball"} and len(params) == 2:
+        return double_ball(params[0], params[1])
+    if name == "random" and len(params) in {1, 2}:
+        n = params[0]
+        s = params[1] if len(params) == 2 else seed
+        return random_tree(n, s)
+    if name == "fig1" and not params:
+        return _fig1_graph()
     raise ParseError(f"unknown generator spec {spec!r}")
 
 
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     except GraphValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (ResonantLambda, NearSingular, NormalizationFailure) as exc:
+    except (ResonantLambda, NormalizationFailure) as exc:
         print(f"resonance: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

@@ -34,17 +34,5 @@ class NormalizationFailure(SteklovError, RuntimeError):
     """The flow vanishes at the requested normalization vertex."""
 
 
-class NearSingular(SteklovError, RuntimeError):
-    """The dense flow system is numerically singular (resonance)."""
-
-    def __init__(self, lam, smallest_singular_value):
-        super().__init__(
-            f"near-singular flow system at lambda={lam!r} "
-            f"(smallest singular value {smallest_singular_value:.3e})"
-        )
-        self.lam = lam
-        self.smallest_singular_value = smallest_singular_value
-
-
 class InternalFault(SteklovError, RuntimeError):
     """A mathematically guaranteed contract failed; carries diagnostics."""

@@ -85,19 +85,11 @@ def _resonant(c: float, d: float, tol: Tolerances) -> bool:
     return abs(c) < tol.resonance * max(1.0, abs(c) + abs(d))
 
 
-def transfer_pairs(
-    g: BoundaryGraph, x: int, lam: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> dict[int, TransferPair]:
-    """Transfer pair of every subtree hanging below x."""
-    _require_flow_tree(g, x)
-    order, parent, _ = _bfs(g, x)
-    return _transfer(g, order, parent, lam, tol)
-
-
 def _transfer(
     g: BoundaryGraph, order: list[int], parent: list[int], lam: float, tol: Tolerances
 ) -> dict[int, TransferPair]:
-    """transfer_pairs on a tree already rooted at order[0] by _bfs."""
+    """Transfer pair of every subtree hanging below order[0], on a tree
+    rooted at order[0] by _bfs."""
     pairs: dict[int, TransferPair] = {}
     for u in reversed(order[1:]):
         kids = [v for v in g.neighbors(u) if v != parent[u]]
@@ -130,7 +122,7 @@ def solve_flow(
     if w == x or w not in g.boundary:
         raise GraphValidationError(f"normalization vertex {w} must be boundary != x")
 
-    order, parent, _ = _bfs(g, x)
+    order, parent, _ = _bfs(g.adjacency, x)
     pairs = _transfer(g, order, parent, lam, tol)
     f = np.zeros(g.n)
     scale: dict[int, float] = {}
@@ -183,7 +175,7 @@ def edge_flow_residual(g: BoundaryGraph, flow: LambdaFlow) -> float:
     target equals lambda times the boundary mass hanging behind it."""
     _require_flow_tree(g, flow.target)
     f = flow.values
-    order, parent, _ = _bfs(g, flow.target)
+    order, parent, _ = _bfs(g.adjacency, flow.target)
     bsum = [0.0] * g.n
     res = 0.0
     for u in reversed(order[1:]):
@@ -208,7 +200,7 @@ def positivity_check(
         raise ValueError("positivity is defined for lambda > 0")
     _require_flow_tree(g, flow.target)
     f = flow.values
-    order, parent, _ = _bfs(g, flow.target)
+    order, parent, _ = _bfs(g.adjacency, flow.target)
     min_grad = math.inf
     for u in order[1:]:
         min_grad = min(min_grad, f[u] - f[parent[u]])
@@ -299,7 +291,7 @@ def sigma(
     if method == "bisection":
         # f(x) has the sign of c at x's neighbor x1: sigma is where the walk
         # below x stops being positive, sigma1 where the walk below x1 does
-        order, parent, _ = _bfs(g, x)
+        order, parent, _ = _bfs(g.adjacency, x)
         sig = _first_zero(g, order, parent, tol)
         sigma1 = _first_zero(g, order[1:], parent, tol) if g.n > 2 else None
         witness = solve_flow(g, x, sig, w, tol)
@@ -314,17 +306,6 @@ def sigma(
         witness = _flow_with_retry(g, x, sig, w, tol)
     _check_witness(g, witness, sig, tol)
     return SigmaResult(sigma=sig, method=method, witness=witness, sigma1=sigma1)
-
-
-def sigma_upper_bound(
-    g: BoundaryGraph, x: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """The branch bound sigma1 (resonance-free zone is [0, sigma1))."""
-    _require_flow_tree(g, x)
-    if x not in g.boundary:
-        raise GraphValidationError("sigma1 is defined at boundary vertices only")
-    order, parent, _ = _bfs(g, x)
-    return _first_zero(g, order[1:], parent, tol)
 
 
 def flow_to_json(g: BoundaryGraph, flow: LambdaFlow) -> dict:

@@ -77,26 +77,6 @@ def _normalize_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple(sorted(out))
 
 
-def _component(adjacency, start: int, blocked) -> set[int]:
-    """Vertices reachable from start without entering a blocked vertex."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if v not in blocked and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _connected(n: int, adjacency, subset=None) -> bool:
-    verts = set(range(n)) if subset is None else set(subset)
-    if not verts:
-        return True
-    blocked = set(range(n)) - verts
-    return _component(adjacency, next(iter(verts)), blocked) == verts
-
-
 def build(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -125,7 +105,7 @@ def build(
     for u, v in norm:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    if not _connected(n, nbrs):
+    if len(_bfs(nbrs, 0)[0]) < n:
         raise GraphValidationError("graph is not connected")
 
     if boundary is None:
@@ -149,7 +129,7 @@ def build(
             raise GraphValidationError(
                 "empty interior (use strict=False for the 2-vertex base case)"
             )
-        if not _connected(n, nbrs, interior):
+        if len(_bfs(nbrs, next(iter(interior)), bset)[0]) < len(interior):
             raise GraphValidationError("interior is not connected")
 
     return BoundaryGraph(n=n, edges=norm, boundary=bset, strict=strict)
@@ -188,7 +168,7 @@ def branch(g: BoundaryGraph, u: int, v: int) -> tuple[BoundaryGraph, dict[int, i
     if v not in g.neighbors(u):
         raise GraphValidationError(f"({u},{v}) is not an edge")
     # on a tree, cutting the edge (u, v) is the same as blocking v
-    edges, relabel = _induced(g, _component(g.adjacency, u, {v}) | {v})
+    edges, relabel = _induced(g, _bfs(g.adjacency, u, {v})[0] + [v])
     return build(len(relabel), edges, strict=len(relabel) > 2), relabel
 
 
@@ -269,23 +249,28 @@ def star(k: int) -> BoundaryGraph:
     return build(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
+def _arms(edges: list, frontier: Iterable[int], nxt: int, D: int, depth: int) -> int:
+    """Hang D new children under each frontier vertex, level by level, for
+    depth levels; new ids count up from nxt in breadth-first order.  Returns
+    the next free id."""
+    for _ in range(depth):
+        grown = []
+        for u in frontier:
+            for _ in range(D):
+                edges.append((u, nxt))
+                grown.append(nxt)
+                nxt += 1
+        frontier = grown
+    return nxt
+
+
 def ball(D: int, R: int) -> BoundaryGraph:
     """Radius-R ball in the (D+1)-regular tree, centered at vertex 0."""
     if D < 2 or R < 1:
         raise GraphValidationError("ball needs D >= 2 and R >= 1")
-    edges = []
-    frontier = [0]
-    nxt = 1
-    for depth in range(R):
-        fanout = D + 1 if depth == 0 else D
-        new_frontier = []
-        for u in frontier:
-            for _ in range(fanout):
-                edges.append((u, nxt))
-                new_frontier.append(nxt)
-                nxt += 1
-        frontier = new_frontier
-    return build(nxt, edges)
+    edges = [(0, v) for v in range(1, D + 2)]
+    n = _arms(edges, range(1, D + 2), D + 2, D, R - 1)
+    return build(n, edges)
 
 
 def double_ball(D: int, R: int) -> BoundaryGraph:
@@ -293,18 +278,9 @@ def double_ball(D: int, R: int) -> BoundaryGraph:
     if D < 2 or R < 1:
         raise GraphValidationError("double_ball needs D >= 2 and R >= 1")
     edges = [(0, 1)]
-    nxt = 2
-    for center in (0, 1):
-        frontier = [center]
-        for _ in range(R):
-            new_frontier = []
-            for u in frontier:
-                for _ in range(D):
-                    edges.append((u, nxt))
-                    new_frontier.append(nxt)
-                    nxt += 1
-            frontier = new_frontier
-    return build(nxt, edges)
+    n = _arms(edges, [0], 2, D, R)
+    n = _arms(edges, [1], n, D, R)
+    return build(n, edges)
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -351,16 +327,20 @@ def random_tree(n: int, seed: int) -> BoundaryGraph:
 # ---------------------------------------------------------------------------
 # metrics and canonical forms
 
-def _bfs(g: BoundaryGraph, src: int) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first order from src, parent array (-1 at src and at unreached
-    vertices) and distance array (-1 at unreached vertices)."""
-    dist = [-1] * g.n
-    parent = [-1] * g.n
+def _bfs(
+    adjacency, src: int, blocked=()
+) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order from src, never entering a blocked vertex, with
+    the parent array (-1 at src and at unreached vertices) and the distance
+    array (-1 at unreached vertices).  Each vertex's neighbours are visited
+    in adjacency order."""
+    dist = [-1] * len(adjacency)
+    parent = [-1] * len(adjacency)
     dist[src] = 0
     order = [src]
     for u in order:
-        for v in g.neighbors(u):
-            if dist[v] < 0:
+        for v in adjacency[u]:
+            if dist[v] < 0 and v not in blocked:
                 dist[v] = dist[u] + 1
                 parent[v] = u
                 order.append(v)
@@ -369,14 +349,14 @@ def _bfs(g: BoundaryGraph, src: int) -> tuple[list[int], list[int], list[int]]:
 
 def diameter(g: BoundaryGraph) -> int:
     """Largest combinatorial distance between two vertices."""
-    return max(max(_bfs(g, v)[2]) for v in range(g.n))
+    return max(max(_bfs(g.adjacency, v)[2]) for v in range(g.n))
 
 
 def diametral_path(g: BoundaryGraph) -> list[int]:
     """One shortest path realizing the diameter (smallest-id tie-break)."""
-    dist0 = _bfs(g, 0)[2]
+    dist0 = _bfs(g.adjacency, 0)[2]
     x0 = max(range(g.n), key=lambda v: (dist0[v], -v))
-    _, parent, dist = _bfs(g, x0)
+    _, parent, dist = _bfs(g.adjacency, x0)
     xl = max(range(g.n), key=lambda v: (dist[v], -v))
     path = [xl]
     while parent[path[-1]] >= 0:
@@ -385,33 +365,16 @@ def diametral_path(g: BoundaryGraph) -> list[int]:
     return path
 
 
-def _centers(g: BoundaryGraph) -> list[int]:
-    """The one or two centers of a tree, ascending, by peeling leaf layers."""
-    deg = [g.degree(v) for v in range(g.n)]
-    remaining = set(range(g.n))
-    layer = [v for v in remaining if deg[v] <= 1]
-    while len(remaining) > 2:
-        nxt = []
-        for v in layer:
-            remaining.discard(v)
-            for u in g.neighbors(v):
-                if u in remaining:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(remaining)
-
-
 def tree_center(g: BoundaryGraph) -> int:
     """Center of a tree (smallest id if bicentral)."""
     if not g.is_tree:
         raise GraphValidationError("tree_center needs a tree")
-    return _centers(g)[0]
+    path = diametral_path(g)
+    return min(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def _ahu_root_form(g: BoundaryGraph, root: int) -> str:
-    order, parent, _ = _bfs(g, root)
+    order, parent, _ = _bfs(g.adjacency, root)
     label: dict[int, str] = {}
     for u in reversed(order):
         kids = sorted(label[v] for v in g.neighbors(u) if v != parent[u])
@@ -423,7 +386,11 @@ def tree_canonical_form(g: BoundaryGraph) -> str:
     """AHU canonical string of the underlying free tree."""
     if not g.is_tree:
         raise GraphValidationError("canonical form needs a tree")
-    return min(_ahu_root_form(g, c) for c in _centers(g))
+    # a tree's one or two centres are the middle of any diametral path
+    path = diametral_path(g)
+    return min(
+        _ahu_root_form(g, c) for c in path[(len(path) - 1) // 2 : len(path) // 2 + 1]
+    )
 
 
 def trees_isomorphic(g1: BoundaryGraph, g2: BoundaryGraph) -> bool:
@@ -441,15 +408,8 @@ def is_subgraph(pattern: BoundaryGraph, host: BoundaryGraph) -> bool:
     if pattern.n > host.n or len(pattern.edges) > len(host.edges):
         return False
 
-    # order pattern vertices so each one touches an earlier one
-    order = [max(range(pattern.n), key=pattern.degree)]
-    placed = set(order)
-    while len(order) < pattern.n:
-        for v in range(pattern.n):
-            if v not in placed and any(u in placed for u in pattern.neighbors(v)):
-                order.append(v)
-                placed.add(v)
-                break
+    # breadth-first from a top-degree vertex: each one touches an earlier one
+    order = _bfs(pattern.adjacency, max(range(pattern.n), key=pattern.degree))[0]
 
     host_edges = set(host.edges)
 

@@ -340,14 +340,6 @@ def _hist_add(hist: dict[str, int], value: float) -> None:
 # enumeration
 
 
-def enumerate_trees(n: int):
-    """One tree per isomorphism class, canonical generation order."""
-    if not 3 <= n <= 12:
-        raise ValueError(f"tree enumeration supports 3 <= n <= 12, got {n}")
-    for edges in _tree_edges(n):
-        yield build(n, edges, boundary=None)
-
-
 def _tree_edges(n: int):
     """The sorted edge list of each free tree on n >= 2 vertices, unvalidated,
     in networkx's `nonisomorphic_trees` order: the Wright-Richmond-Odlyzko-
@@ -420,17 +412,9 @@ def _atlas() -> tuple:
     return tuple(nx.graph_atlas_g())
 
 
-def enumerate_graphs(n: int):
-    """Connected graphs on n vertices with at least one degree-1 vertex,
-    in graph-atlas order."""
-    if not 3 <= n <= 7:
-        raise ValueError(f"graph enumeration supports 3 <= n <= 7, got {n}")
-    for edges in _atlas_edges(n):
-        yield build(n, edges, boundary=None)
-
-
 def _atlas_edges(n: int):
-    """The sorted edge list of each graph of enumerate_graphs(n), unvalidated."""
+    """The sorted edge list of each connected graph on n vertices with a
+    degree-1 vertex, unvalidated, in graph-atlas order."""
     import networkx as nx
 
     for g in _atlas():
@@ -659,6 +643,11 @@ def hunt_problem2(
 # the two-thirds pair
 
 
+def _fig1_graph() -> BoundaryGraph:
+    """A 4-cycle with pendants on opposite corners, its leaves as boundary."""
+    return build(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5)])
+
+
 def find_fig1(
     n_max: int | None = None, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CandidatePair:
@@ -672,8 +661,7 @@ def find_fig1(
     """
     if n_max is not None and n_max < 6:
         raise ValueError("n_max must be >= 6")
-    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    g2 = build(6, cycle + [(0, 4), (2, 5)], boundary=None)
+    g2 = _fig1_graph()
     g1_edges, _ = _induced(g2, [0, 2, 3, 4, 5])  # delete cycle vertex 1
     pair = make_pair(build(5, g1_edges), g2, None, "vertex_deletion", 2, 2, tol)
     lam1, lam2 = pair.eigenvalues1[1], pair.eigenvalues2[1]

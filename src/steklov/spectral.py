@@ -187,6 +187,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # orthonormal columns over the boundary ordering
     notes: tuple[str, ...] = field(default_factory=tuple)
+    tol: Tolerances = DEFAULT_TOLERANCES  # the solve's, for the extensions
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -207,7 +208,7 @@ class Spectrum:
         """Harmonic extension of each eigenvector; column j matches vector j."""
         cols = []
         for j in range(self.vectors.shape[1]):
-            cols.append(harmonic_extension(self.graph, self.vectors[:, j]))
+            cols.append(harmonic_extension(self.graph, self.vectors[:, j], self.tol))
         return np.column_stack(cols)
 
     def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
@@ -320,6 +321,7 @@ def steklov_spectra(
                 eigenvalues=w[j],
                 vectors=vec[j],
                 notes=_range_notes(g, w[j]),
+                tol=tol,
             )
     return spectra
 
@@ -374,8 +376,3 @@ def _steklov_residuals(g: BoundaryGraph, f, lam: float) -> np.ndarray:
     bnd = list(g.boundary)
     res[bnd] -= lam * f[bnd]
     return np.abs(res)
-
-
-def check_steklov_system(g: BoundaryGraph, f, lam: float) -> float:
-    """Max residual of the eigenvalue system at (f, lam)."""
-    return float(np.max(_steklov_residuals(g, f, lam)))

@@ -1,10 +1,14 @@
 """Reference routes the tests check the package against.
 
 None of them has a caller in the package: the dense flow solve is an
-independent oracle for the transfer recursion, the Rayleigh quotient,
-normal derivative and Green identity are the variational side of the
-Steklov problem, the wedge sum is the general gluing that `double_at`
-specialises, and `prufer_tree` is `random_tree` validated by `build`.
+independent oracle for the transfer recursion (it raises `NearSingular`
+at a resonance), the Rayleigh quotient, normal derivative and Green
+identity are the variational side of the Steklov problem, the wedge sum is
+the general gluing that `double_at` specialises, `prufer_tree` is
+`random_tree` validated by `build`, `enumerate_trees` and
+`enumerate_graphs` are the hunts' base graphs validated by `build`, and
+`peeled_centers` finds a tree's centres by peeling leaf layers, a route
+independent of the diametral path that `tree_center` reads them from.
 """
 
 import random
@@ -15,16 +19,29 @@ from steklov import (
     BoundaryGraph,
     GraphValidationError,
     LambdaFlow,
-    NearSingular,
+    SteklovError,
     build,
     default_norm_vertex,
     laplacian_apply,
     laplacian_matrix,
 )
 from steklov.graphs import _prufer_decode
+from steklov.hunt import _atlas_edges, _tree_edges
 
 # dense-solve system residual, relative to the largest flow value
 DENSE_FLOW_RESIDUAL = 1e-9
+
+
+class NearSingular(SteklovError, RuntimeError):
+    """The dense flow system is numerically singular (resonance)."""
+
+    def __init__(self, lam, smallest_singular_value):
+        super().__init__(
+            f"near-singular flow system at lambda={lam!r} "
+            f"(smallest singular value {smallest_singular_value:.3e})"
+        )
+        self.lam = lam
+        self.smallest_singular_value = smallest_singular_value
 
 
 def solve_flow_dense(
@@ -131,3 +148,38 @@ def prufer_tree(n: int, seed: int) -> BoundaryGraph:
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return build(n, _prufer_decode(seq, n))
+
+
+def enumerate_trees(n: int):
+    """One tree per isomorphism class, canonical generation order."""
+    if not 3 <= n <= 12:
+        raise ValueError(f"tree enumeration supports 3 <= n <= 12, got {n}")
+    for edges in _tree_edges(n):
+        yield build(n, edges, boundary=None)
+
+
+def enumerate_graphs(n: int):
+    """Connected graphs on n vertices with at least one degree-1 vertex,
+    in graph-atlas order."""
+    if not 3 <= n <= 7:
+        raise ValueError(f"graph enumeration supports 3 <= n <= 7, got {n}")
+    for edges in _atlas_edges(n):
+        yield build(n, edges, boundary=None)
+
+
+def peeled_centers(g: BoundaryGraph) -> list[int]:
+    """The one or two centers of a tree, ascending, by peeling leaf layers."""
+    deg = [g.degree(v) for v in range(g.n)]
+    remaining = set(range(g.n))
+    layer = [v for v in remaining if deg[v] <= 1]
+    while len(remaining) > 2:
+        nxt = []
+        for v in layer:
+            remaining.discard(v)
+            for u in g.neighbors(v):
+                if u in remaining:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return sorted(remaining)

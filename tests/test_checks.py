@@ -7,6 +7,8 @@ import pytest
 
 from steklov import (
     GraphValidationError,
+    InternalFault,
+    Tolerances,
     add_pendant,
     ball,
     build,
@@ -24,6 +26,7 @@ from steklov import (
     path_tree,
     random_tree,
     star,
+    steklov_spectrum,
     tree_canonical_form,
     trees_isomorphic,
 )
@@ -356,3 +359,17 @@ def test_instance_string_is_reconstructible():
     g6 = r.instance.split("g6=")[1].split()[0]
     g = from_graph6(g6)
     assert tree_canonical_form(g) == tree_canonical_form(random_tree(8, 77))
+
+
+# ---------------------------------------------------------------------------
+# tolerances
+
+
+def test_harmonic_residual_override_reaches_the_extensions():
+    # a negative bound fails every extension, so each route that extends an
+    # eigenvector must raise: the override reached it
+    g, tol = random_tree(12, 3), Tolerances(harmonic_residual=-1.0)
+    with pytest.raises(InternalFault, match="harmonic extension residual"):
+        check_doubling(g, 1, tol)
+    with pytest.raises(InternalFault, match="harmonic extension residual"):
+        steklov_spectrum(g, tol).eigenpair(2)

@@ -21,7 +21,6 @@ from steklov import flows
 from steklov import (
     DEFAULT_TOLERANCES,
     GraphValidationError,
-    NearSingular,
     ResonantLambda,
     build,
     default_norm_vertex,
@@ -32,13 +31,12 @@ from steklov import (
     positivity_check,
     random_tree,
     sigma,
-    sigma_upper_bound,
     solve_flow,
     star,
-    transfer_pairs,
     verify_flow,
 )
-from oracles import rayleigh, solve_flow_dense
+from steklov.graphs import _bfs
+from oracles import NearSingular, rayleigh, solve_flow_dense
 
 SPIDER = build(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
 SPIDER_SIGMA = (5.0 - math.sqrt(5.0)) / 10.0
@@ -46,6 +44,17 @@ SPIDER_SIGMA = (5.0 - math.sqrt(5.0)) / 10.0
 
 # ---------------------------------------------------------------------------
 # transfer recursion
+
+
+def transfer_pairs(g, x, lam):
+    """The transfer pair of every subtree hanging below x."""
+    order, parent, _ = _bfs(g.adjacency, x)
+    return flows._transfer(g, order, parent, lam, DEFAULT_TOLERANCES)
+
+
+def sigma1(g, x):
+    """The branch bound sigma1 at leaf x: the resonance-free zone is [0, sigma1)."""
+    return sigma(g, x, method="bisection").sigma1
 
 
 def test_transfer_pairs_p4_hand_values():
@@ -177,7 +186,7 @@ def test_dense_matches_transfer():
     for seed in range(20):
         g = random_tree(4 + seed % 9, seed)
         x = min(g.boundary)
-        cap = min(sigma_upper_bound(g, x), 1.0)
+        cap = min(sigma1(g, x), 1.0)
         for frac in (0.15, 0.5, 0.85):
             lam = frac * cap
             a = solve_flow(g, x, lam)
@@ -208,7 +217,7 @@ def test_dense_near_singular_at_resonance():
 def test_residuals_small_on_solved_flows(n, seed):
     g = random_tree(n, seed)
     x = max(g.boundary)
-    lam = 0.4 * min(sigma_upper_bound(g, x), 1.0)
+    lam = 0.4 * min(sigma1(g, x), 1.0)
     f = solve_flow(g, x, lam)
     assert verify_flow(g, f) < 1e-10 * max(1.0, float(np.max(np.abs(f.values))))
     assert edge_flow_residual(g, f) < 1e-9 * max(1.0, float(np.max(np.abs(f.values))))
@@ -328,7 +337,7 @@ def test_one_sign_change_below_sigma1(n, seed, last):
     g = random_tree(n, seed)
     x = max(g.boundary) if last else min(g.boundary)
     (x1,) = g.neighbors(x)
-    s1 = sigma_upper_bound(g, x)
+    s1 = sigma1(g, x)
     signs = []
     for i in range(1, 41):
         lam = s1 * i / 41.0
@@ -362,7 +371,7 @@ def test_sigma_below_upper_bound_random():
     for seed in range(20):
         g = random_tree(5 + seed % 8, seed + 55)
         x = min(g.boundary)
-        s1 = sigma_upper_bound(g, x)
+        s1 = sigma1(g, x)
         assert sigma(g, x).sigma < s1 + 1e-12
 
 
@@ -382,12 +391,12 @@ def test_sigma_validation():
 
 
 def test_sigma_upper_bound_values():
-    assert sigma_upper_bound(path_tree(1), 0) == math.inf
+    assert sigma1(path_tree(1), 0) is None
     # sigma1 at a path's leaf is sigma of the path one edge shorter
     for L in range(2, 41):
-        assert abs(sigma_upper_bound(path_tree(L), 0) - 1.0 / (L - 1)) < 1e-15
+        assert abs(sigma1(path_tree(L), 0) - 1.0 / (L - 1)) < 1e-15
     with pytest.raises(GraphValidationError):
-        sigma_upper_bound(path_tree(2), 1)
+        sigma1(path_tree(2), 1)
 
 
 # ---------------------------------------------------------------------------

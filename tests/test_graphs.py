@@ -1,5 +1,6 @@
 """Graph container, surgeries, generators, and isomorphism machinery."""
 
+import hashlib
 import itertools
 import random
 
@@ -18,7 +19,7 @@ from steklov import (
     diametral_path,
     double_at,
     double_ball,
-    enumerate_graphs,
+    doubled_branch_graph,
     is_subgraph,
     leaves,
     path_tree,
@@ -29,9 +30,11 @@ from steklov import (
     tree_center,
     trees_isomorphic,
 )
-from steklov.graphs import SUBGRAPH_LIMIT, _below
+from steklov.graphs import SUBGRAPH_LIMIT, _ahu_root_form, _below
+from steklov.hunt import _tree_edges
+from steklov.serialize import to_graph6
 
-from oracles import prufer_tree, wedge_sum
+from oracles import enumerate_graphs, peeled_centers, prufer_tree, wedge_sum
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,22 @@ def test_double_ball_shapes():
     assert diameter(g2) == 5
 
 
+# sha256 of the space-joined graph6 strings over D = 2..4, R = 1..3: the
+# vertex numbering of the three D-ary generators, which graph6 and every
+# vertex selector by id read
+GENERATOR_GRAPH6_SHA256 = {
+    ball: "0b0b37be1ad514b65c073afe0cee10277ec0591b5948ce0148ec3f2bad534d7e",
+    double_ball: "057b250a564377ba0131302cc60fb1f5ddd017da83573b1d59ed7c5c88524ddf",
+    doubled_branch_graph: "8dd33310e6650fbbbb42605dcefc69411c5c98e8fab8a8061c8fd67a2f5a1d91",
+}
+
+
+@pytest.mark.parametrize("family", list(GENERATOR_GRAPH6_SHA256), ids=lambda f: f.__name__)
+def test_generator_numbering_is_frozen(family):
+    text = " ".join(to_graph6(family(D, R)) for D in (2, 3, 4) for R in (1, 2, 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_GRAPH6_SHA256[family]
+
+
 @given(st.integers(3, 20), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_random_tree_is_tree(n, seed):
@@ -405,6 +424,18 @@ def test_tree_center():
     assert tree_center(star(5)) == 0
     # bicentral path: smallest id wins the tie
     assert tree_center(path_tree(3)) == 1
+
+
+def test_centers_match_leaf_peeling():
+    # every tree to order 12, then random trees to 200 vertices: the centre
+    # and the canonical form agree with the centres that leaf peeling finds
+    trees = [build(n, e, strict=n > 2) for n in range(2, 13) for e in _tree_edges(n)]
+    rng = random.Random(5)
+    trees += [random_tree(rng.randint(3, 200), rng.randrange(2**32)) for _ in range(300)]
+    for g in trees:
+        centers = peeled_centers(g)
+        assert tree_center(g) == centers[0]
+        assert tree_canonical_form(g) == min(_ahu_root_form(g, c) for c in centers)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from steklov import (
     HuntReport,
     InternalFault,
     add_pendant,
-    enumerate_graphs,
-    enumerate_trees,
     find_fig1,
     from_edge_list,
     hunt_problem1,
@@ -32,7 +30,7 @@ from steklov.hunt import (
     _stream,
 )
 
-from oracles import prufer_tree
+from oracles import enumerate_graphs, enumerate_trees, prufer_tree
 
 # one tree per isomorphism class; the unlabeled-tree counting sequence
 TREE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}

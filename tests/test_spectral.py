@@ -22,10 +22,8 @@ from steklov import (
     Tolerances,
     ball,
     build,
-    check_steklov_system,
     double_ball,
     dtn_matrix,
-    enumerate_graphs,
     harmonic_extension,
     lambda2,
     laplacian_apply,
@@ -36,7 +34,7 @@ from steklov import (
     steklov_spectra,
     steklov_spectrum,
 )
-from oracles import green_identity_gap, normal_derivative, rayleigh
+from oracles import enumerate_graphs, green_identity_gap, normal_derivative, rayleigh
 from steklov import spectral
 
 
@@ -506,7 +504,7 @@ def test_spectrum_eigenpair_solves_system():
     s = steklov_spectrum(g)
     for k in range(1, len(s.eigenvalues) + 1):
         lam, f = s.eigenpair(k)
-        assert check_steklov_system(g, f, lam) < 1e-9
+        assert max(spectral._steklov_residuals(g, f, lam)) < 1e-9
 
 
 def test_spectrum_lambda_k_bounds():
