@@ -210,7 +210,8 @@ def _run_check(name: str, g: BoundaryGraph, rng: random.Random, args, tol) -> Ch
         if args.at:
             z = pick_vertex(args.at, g)
         else:
-            z = rng.choice(_interior_candidates(g))
+            # with no vertex of degree >= 2, vertex 0 gets the checker's error
+            z = rng.choice(_interior_candidates(g) or [0])
         return check_branch_dichotomy(g, z, tol)
     raise ParseError(f"unknown check {name!r}")
 
@@ -219,6 +220,8 @@ def cmd_verify(args, parser, tol: Tolerances) -> int:
     name = CHECK_ALIASES.get(args.check, args.check)
     if name not in CHECKS:
         raise ParseError(f"unknown check {args.check!r}")
+    if args.random_trees < 0:
+        raise ValueError(f"--random-trees must be >= 0, got {args.random_trees}")
     rng = random.Random(args.seed)
     reports: list[CheckReport] = []
     if args.random_trees:

@@ -25,9 +25,9 @@ in one call over its distinct base graphs and all its grown graphs, and
 builds a CandidatePair only for a violation; `--workers` maps chunks to
 processes.  The batched kernel is bit-identical to one graph at a time,
 so chunking never changes a report.  Problem 1's trees are generated and
-counted here, so only problem 2, which reads networkx's graph atlas,
-imports networkx; it and the process pool are imported where a hunt first
-needs them, so the rest of the package runs without loading either.
+counted here, and problem 2's small graphs are a table of graph6 strings
+(`_ATLAS_G6`), so no hunt needs networkx; the process pool is imported
+where a hunt first needs it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Iterable
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InternalFault, ParseError
 from .graphs import BoundaryGraph, _below, _induced, add_pendant, build, random_tree
-from .serialize import to_edge_list
+from .serialize import _graph6_edges, to_edge_list
 from .spectral import _eigenvalues
 # unused here, but bench/test_bench.py's tracer test reads this binding
 from .spectral import steklov_spectrum  # noqa: F401
@@ -404,28 +404,56 @@ def _next_free_tree(layout: list[int]) -> list[int]:
     return out
 
 
-@functools.cache
-def _atlas() -> tuple:
-    """networkx's graph atlas (every graph up to 7 vertices), read once."""
-    import networkx as nx
-
-    return tuple(nx.graph_atlas_g())
+# The graph6 strings of the connected graphs on 3 to 7 vertices with a
+# degree-1 vertex (1, 3, 10, 51 and 346 per order), in the order of networkx's
+# graph atlas (Read and Wilson, "An Atlas of Graphs"), written from networkx
+# 3.6.1; tests/oracles.py filters the same graphs from networkx's atlas.
+_ATLAS_G6 = tuple(
+    r"""
+Bo CF Ck CN D?{ DBc Dh_ D@{ Dx_ DJc DbW DjW Db[ DJ{ E?Bw EhP? EsCO EiGO
+EBe? E`EG E?Fw EC{O E@dW EG}? E]a? EYWO E]_O EQKo EsCW EJe? EBy? Ehd? EB{G
+EhX_ E^_O EJwG E`Xg EtaG Eht? EtoO EB}? EXSg Eld? EJy? Exd? EYOw E~a? E~_O
+EzW_ Ejt? EjsG Ez`_ Eju? Ev`_ EXSw E~AG Er`o E~H_ E~`_ El{G EZSw E~@g En{G
+En}? E~|? F??Fw FhG`? FiO`? FiOG_ FiO_G FIo`? Fk_`? FaOH_ FEW`? Fk_G_
+FhCK? FsaC_ FItA? F?Bcw FkoK? FhG`G FMpA? FhoI? FhoGO FHAgg FiG`G FbW`?
+FiO`G FMoG_ Fg?hg Fko`? Fpq?_ FMoa? Fpq?G Fpa?g FhoG_ FhD@G FhoGG FIo`G
+Fh_gG FpQO_ FXAGg Fk_`G FMo`? FK_h_ FIc`G FMo@G FPq?g FmpA? FupA? FexA?
+FMtA? F\CoG FE|A? F[EoG FjKGO F`?Fw FH?NW Fh?Dw Fepa? Flg`? FXAgg FhDb?
+FmW`? FFwG_ FxUA? FeoJ? Fewa? FxSI? FxSQ? FEtB? FxaGG FFwH? Fhoh? Fmo`?
+Fh?JW Fpa_g FFw`? FjCHO F`DbG FhogG FMs`? FFwc? FLg`G FwaK_ FxOY? FxSAG
+FhFE? FK{@G FsNA? F_{p? FhT@G FhDIO F_{Og FSYK_ FFwGG Fgogg FxOWO FHt@G
+FHFEG F_sPg FhFK? FhMK? FxU?G FHhGg FLJK? FFw_G F~aC? F~a@? F~_Q? FzW`?
+FzWa? FjtA? Fjt?O Fz`a? FjsGO FjsG_ Fz`c? FjuA? FXSx? Fv`c? F~a?G Fju?O
+FjsH? FXSwG F~_?g FjuC? FlkG_ Fz`_G FXSwO Fju@? Fv`_G Fv@h? Fr`s? F~AGG
+FB}GO Fxec? FB}G_ FzW_G F?~oO FhMh? FjsAG FB}H? FB}K? FyQAg Flec? FJyGO
+FjsGG FhMgO FhMgG FyaAg Fxea? Fxe_O FJyH? Fle__ Fle`? Fz@cO F?~q? Fju?G
+FhMi? FhMk? FhMg_ FyIAg FhdW_ Flea? FhNGO Fv@cO Fhfa? FJyK? FHS|? Fhfc?
+FhdWG Fle_O FyAIg FhUgG FhdY? FJyG_ F~AGO Fhd[? Fhf_O FhNK? Fr@sO FhUk?
+F~H`? F~Ha? F~`a? F~`c? F~`__ Fl{GO FZSw_ F~@h? FZSx? FxqgG F~`_G FZSwO
+F~@gG F?~wG F|ec? F|e`? F?~y? F|e__ FyuK? FyVI? F~aK? FlfO_ F|e_G F^eG_
+FyVK? FPzp? F~@`O Fxf`? FyVGG F|e_O F^MG_ F~aH? FO~oG F^eH? FPzs? FlfQ?
+F^MGO F~@cO Fxf_G FyuGG FO~s? FyVH? FlMh? FhewG Flfc? F~aGG Fl{?W F^eI?
+FlfOO FhewO FlfP? Fhe{? FlMgG Flfa? Fxf__ FJS|? FhDjO FlMk? Flf__ Flf`?
+F~@_W F^MI? F^MGG FO~q? Fhey? FlMi? Flf_O FtTgO FlUk? Fn{GO Fn{OO Fn{_O
+Fn{`? Fn{c? F_~wO FjtY? FjtWO F_~y? F^mH? FjtWG F^Mh? FjvI? F^Mg_ FjvGO
+F@`zw Flfs? F^Mk? Fxva? FjvGG Fjt[? FrXx? FjvG_ Fxv`? F^MgG FlfoG FrXwG
+Fn{GG Flfq? Fxv_O Fxv_G FrXwO F^mI? Fn{@G FhfwG FzNI? Fhfy? FjvH? F^Mi?
+F?\vg FyUy? FzNGG FzNG_ FlfoO Fxv__ F^NI? FyUx? FrX{? F?\~_ F~|A? F~{OO
+F~Xq? F~Xo_ Fn}GO Fn}I? F~Xs? Fn}K? Fn}H? F~wY? F~wWO F~{AG FyVy? FlNwG
+F}RBg FlNw_ F~XoO FyVx? F}bBg FR~g_ FR~k? Fn}GG Fl^gG Fp~oO Fp~s? F}BJg
+Fp~o_ Fl^k? F~wWG F@\|w F~{WO F}~I? Ftilg F@\}w FC\zw Fse|o F@\~g FBX|w
+Fp~y? F~{WG FB^bw FBX~o F~~I? FB\|w Fsmtw FB\~W FK\zw Fz~y? Fz~{? F~~x?
+""".split()
+)
 
 
 def _atlas_edges(n: int):
     """The sorted edge list of each connected graph on n vertices with a
     degree-1 vertex, unvalidated, in graph-atlas order."""
-    import networkx as nx
-
-    for g in _atlas():
-        if g.number_of_nodes() != n or g.number_of_edges() == 0:
-            continue
-        if not nx.is_connected(g):
-            continue
-        degrees = dict(g.degree())
-        if min(degrees.values()) != 1:
-            continue
-        yield sorted(tuple(sorted(e)) for e in g.edges())
+    order = chr(n + 63)  # a graph6 string's first character, for n < 63
+    for text in _ATLAS_G6:
+        if text[0] == order:
+            yield sorted(_graph6_edges(text)[1])
 
 
 def _random_general_graph(n: int, rng: random.Random) -> BoundaryGraph:

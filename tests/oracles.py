@@ -5,10 +5,12 @@ independent oracle for the transfer recursion (it raises `NearSingular`
 at a resonance), the Rayleigh quotient, normal derivative and Green
 identity are the variational side of the Steklov problem, the wedge sum is
 the general gluing that `double_at` specialises, `prufer_tree` is
-`random_tree` validated by `build`, `enumerate_trees` and
-`enumerate_graphs` are the hunts' base graphs validated by `build`, and
-`peeled_centers` finds a tree's centres by peeling leaf layers, a route
-independent of the diametral path that `tree_center` reads them from.
+`random_tree` validated by `build`, `enumerate_trees` is hunt 1's base
+trees validated by `build`, `enumerate_graphs` filters hunt 2's small
+graphs from networkx's graph atlas, independently of the table the hunt
+embeds, and `peeled_centers` finds a tree's centres by peeling leaf
+layers, a route independent of the diametral path that `tree_center`
+reads them from.
 """
 
 import random
@@ -26,7 +28,7 @@ from steklov import (
     laplacian_matrix,
 )
 from steklov.graphs import _prufer_decode
-from steklov.hunt import _atlas_edges, _tree_edges
+from steklov.hunt import _tree_edges
 
 # dense-solve system residual, relative to the largest flow value
 DENSE_FLOW_RESIDUAL = 1e-9
@@ -163,8 +165,14 @@ def enumerate_graphs(n: int):
     in graph-atlas order."""
     if not 3 <= n <= 7:
         raise ValueError(f"graph enumeration supports 3 <= n <= 7, got {n}")
-    for edges in _atlas_edges(n):
-        yield build(n, edges, boundary=None)
+    import networkx as nx
+
+    for g in nx.graph_atlas_g():
+        if g.number_of_nodes() != n or not nx.is_connected(g):
+            continue
+        if min(d for _v, d in g.degree()) != 1:
+            continue
+        yield build(n, sorted(tuple(sorted(e)) for e in g.edges()), boundary=None)
 
 
 def peeled_centers(g: BoundaryGraph) -> list[int]:

@@ -340,6 +340,13 @@ def test_exit_2_validation(capsys):
         capsys, "flow", "--gen", "path:2", "--to", "v2", "--lambda", "-1"
     )
     assert rc == 2
+    # no vertex of degree >= 2 to draw, and a negative batch size
+    rc, _, err = run(capsys, "verify", "dichotomy", "--gen", "path:1")
+    assert rc == 2
+    assert err == "validation error: dichotomy needs a vertex of degree >= 2\n"
+    rc, out, err = run(capsys, "verify", "diameter", "--random-trees", "-1")
+    assert rc == 2 and out == ""
+    assert err.startswith("validation error:") and "--random-trees" in err
 
 
 def test_exit_3_parse(capsys, monkeypatch):
@@ -502,8 +509,7 @@ def test_console_script_entry_point():
 
 
 def test_cli_import_leaves_networkx_unloaded(tmp_path):
-    # only hunt 2 reads networkx's atlas; every other command runs without it,
-    # graph6 input included
+    # no command reads networkx; the CLI runs without it, graph6 input included
     code = "import sys, steklov.cli; print('networkx' in sys.modules)"
     rc, out, err = _python("-c", code)
     assert rc == 0, err
@@ -521,9 +527,16 @@ def test_cli_import_leaves_networkx_unloaded(tmp_path):
     assert out.splitlines()[-1] == "0 False"
 
 
-def test_hunt1_runs_with_networkx_blocked(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hunt", "1", "--nmax", "12", "--budget", "3000", "--kmin", "2"],
+        ["hunt", "2", "--nmax", "9", "--kmin", "2", "--budget", "3000"],
+    ],
+    ids=["1", "2"],
+)
+def test_hunt_runs_with_networkx_blocked(capsys, tmp_path, argv):
     # a None entry in sys.modules makes every import of networkx fail
-    argv = ["hunt", "1", "--nmax", "12", "--budget", "3000", "--kmin", "2"]
     blocked, normal = tmp_path / "blocked.json", tmp_path / "normal.json"
     code = (
         "import sys; sys.modules['networkx'] = None; from steklov.cli import main; "
