@@ -220,11 +220,11 @@ def cmd_verify(args, parser, tol: Tolerances) -> int:
     name = CHECK_ALIASES.get(args.check, args.check)
     if name not in CHECKS:
         raise ParseError(f"unknown check {args.check!r}")
-    if args.random_trees < 0:
+    if args.random_trees is not None and args.random_trees < 0:
         raise ValueError(f"--random-trees must be >= 0, got {args.random_trees}")
     rng = random.Random(args.seed)
     reports: list[CheckReport] = []
-    if args.random_trees:
+    if args.random_trees is not None:  # a batch, empty when N is 0
         for _ in range(args.random_trees):
             n = rng.randint(4, 14)
             g = random_tree(n, rng.randrange(2**32))
@@ -241,7 +241,7 @@ def cmd_verify(args, parser, tol: Tolerances) -> int:
             print(f"  note: {note}")
         lines.append(rep.json_line())
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text("".join(line + "\n" for line in lines))
     failed = [rep for rep in reports if not rep.passed]
     total = len(reports)
     print(f"{total - len(failed)}/{total} passed")
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", help="|".join(sorted(CHECKS + tuple(CHECK_ALIASES))))
     _add_input_opts(p)
     p.add_argument("--at", help="vertex selector for vertex-anchored checks")
-    p.add_argument("--random-trees", type=int, metavar="N", default=0)
+    p.add_argument("--random-trees", type=int, metavar="N")
     p.add_argument("--degree", type=int, help="degree parameter (degree_diameter)")
     p.add_argument("--length", type=int, help="diameter parameter (degree_diameter)")
     p.add_argument("--out", help="write JSON-lines reports here")

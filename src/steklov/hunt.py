@@ -14,25 +14,27 @@ cursor and a parallel run merges to byte-identical results.  A run
 materializes only its window [cursor, budget) of the stream: it skips
 whole orders of the exhaustive sweep by their counted size, builds only
 the base graphs with an instance in the window, and stops enumerating at
-the window's end; each grown graph extends its valid base graph by one
-checked edge (`add_pendant`), without re-validation, and each random tail
-tree comes straight from its Prufer decode (`random_tree`), which is a
-valid tree by construction and skips `build`.  Pending
-instances are evaluated in fixed chunks of CHUNK: each chunk asks the
-stacked kernel for the eigenvalues alone (`spectral._eigenvalues`, every
-check of `steklov_spectra` but no eigenvector signs or Spectrum objects)
-in one call over its distinct base graphs and all its grown graphs, and
-builds a CandidatePair only for a violation; `--workers` maps chunks to
-processes.  The batched kernel is bit-identical to one graph at a time,
-so chunking never changes a report.  Problem 1's trees are generated and
-counted here, and problem 2's small graphs are a table of graph6 strings
+the window's end; each random tail tree comes straight from its Prufer
+decode (`random_tree`), which is a valid tree by construction and skips
+`build`.  Pending instances are evaluated in fixed chunks of CHUNK, and
+`--workers` maps chunks to processes.  A chunk's distinct base graphs
+become arrays once; each grown graph is its base's arrays plus one edge
+and one boundary change, with no graph object.  One call of the stacked
+kernel (`spectral._batch_eigenvalues`, every check of `steklov_spectra`
+but no eigenvector signs or Spectrum objects) scatters the chunk's
+Laplacians, one scatter per order, and returns the eigenvalues as padded
+rows; the margins and histogram counts are taken over them in numpy, and
+a grown graph is built (`add_pendant`) only for a violation's
+CandidatePair.  The batched kernel is bit-identical to one graph at a
+time, and the Laplacians' entries are small integers, exact in any
+scatter, so chunking never changes a report.  Problem 1's trees are
+generated and counted here, and problem 2's small graphs are a table of graph6 strings
 (`_ATLAS_G6`), so no hunt needs networkx; the process pool is imported
 where a hunt first needs it.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import math
@@ -43,17 +45,21 @@ from operator import sub
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InternalFault, ParseError
 from .graphs import BoundaryGraph, _below, _induced, add_pendant, build, random_tree
 from .serialize import _graph6_edges, to_edge_list
-from .spectral import _eigenvalues
+from .spectral import _Batch, _batch, _batch_eigenvalues, _eigenvalues
 # unused here, but bench/test_bench.py's tracer test reads this binding
 from .spectral import steklov_spectrum  # noqa: F401
 
 VIOLATION_TOL = 1e-8
 REVERIFY_TOL = 1e-9
-CHUNK = 256  # instances per batched eigensolve; bounds a chunk's memory
+# instances per call of the batched kernel; bounds a chunk's memory, as
+# the Laplacians of each order of a chunk are held at once
+CHUNK = 256
 
 _HIST_EDGES = (-math.inf, -1e-8, 0.0, 1e-4, 1e-2, 0.1, 0.5, math.inf)
 
@@ -179,15 +185,6 @@ def _graph_from_doc(doc: dict) -> BoundaryGraph:
     )
 
 
-def _window(w1: list[float], w2: list[float], k_min: int, k_max: int | None) -> slice:
-    """The list positions of the indices k_min <= k <= k_max that two
-    ascending spectra share; position k - 1 holds lambda_k."""
-    top = min(len(w1), len(w2))
-    if k_max is not None:
-        top = min(top, k_max)
-    return slice(k_min - 1, top)
-
-
 def _compare(
     g1: BoundaryGraph,
     g2: BoundaryGraph,
@@ -200,7 +197,8 @@ def _compare(
 ) -> CandidatePair:
     """The pair with margins lambda_k(g1) - lambda_k(g2) for every shared
     index k in the window, from the two ascending spectra."""
-    win = _window(w1, w2, k_min, k_max)
+    top = min(len(w1), len(w2), math.inf if k_max is None else k_max)
+    win = slice(k_min - 1, top)  # position k - 1 holds lambda_k
     margins = dict(enumerate(map(sub, w1[win], w2[win]), start=k_min))
     return CandidatePair(g1, g2, attachment, relation, tuple(w1), tuple(w2), margins)
 
@@ -329,11 +327,12 @@ def _empty_histogram() -> dict[str, int]:
     return dict.fromkeys(_HIST_LABELS, 0)
 
 
-def _hist_add(hist: dict[str, int], value: float) -> None:
-    """Count value in the bin [lo, hi) that holds it; +inf and NaN, which
-    no bin holds, count in the last."""
-    i = bisect.bisect(_HIST_EDGES, value, 1, len(_HIST_EDGES) - 1)  # inner edges
-    hist[_HIST_LABELS[i - 1]] += 1
+def _hist_counts(values: np.ndarray) -> list[int]:
+    """The number of values in each bin [lo, hi); +inf and NaN, which no bin
+    holds, count in the last."""
+    inner = np.array(_HIST_EDGES[1:-1])
+    where = inner.searchsorted(values, side="right")
+    return np.bincount(where, minlength=len(_HIST_LABELS)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -554,34 +553,82 @@ def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float
     return out, math.inf
 
 
-def _eval_chunk(payload: tuple) -> list[tuple[float, dict | None]]:
+def _with_pendants(base: _Batch, rows: np.ndarray, xs: np.ndarray) -> _Batch:
+    """The base graphs, then one grown graph per instance: base rows[i]
+    with a new leaf n on vertex xs[i], where n is the base's order.
+
+    This is `add_pendant` on a graph whose boundary is its degree-1
+    vertices, as every base graph of the stream is: the boundary loses
+    xs[i] (if it was a leaf) and gains n.  base must come from `_batch`,
+    which lays the edges out graph by graph.
+    """
+    order, boundary, ends, owner = base
+    count, width = boundary.shape
+    grown = np.arange(count, count + len(rows))
+    n = order[rows]
+    mask = np.zeros((count + len(rows), width + 1), bool)
+    mask[:count, :width] = boundary
+    mask[count:, :width] = boundary[rows]
+    mask[grown, xs] = False
+    mask[grown, n] = True
+    # a grown graph's edges: a copy of its base's, then (x, n); copied
+    # edge j of copy i is the base's first edge plus j
+    per_base = np.bincount(owner, minlength=count)
+    sizes = per_base[rows]
+    shift = (np.cumsum(per_base) - per_base)[rows] - (np.cumsum(sizes) - sizes)
+    take = np.arange(sizes.sum()) + shift.repeat(sizes)
+    return _Batch(
+        np.concatenate([order, n + 1]),
+        mask,
+        np.concatenate([ends, ends[take], np.column_stack([xs, n])]),
+        np.concatenate([owner, grown.repeat(sizes), grown]),
+    )
+
+
+def _eval_chunk(payload: tuple) -> tuple[list[int], list[dict]]:
     """Worker body: a chunk of pendant instances in one batched eigensolve.
 
-    Each distinct base graph is solved once; every grown graph is solved.
-    A base graph repeats by identity (the stream builds each one once, and
-    pickling a chunk keeps shared objects shared), so bases are told apart
-    by id, without hashing their edges.  Returns (min margin, violation
-    document or None) per instance, in order.
+    Each distinct base graph becomes arrays once, and each grown graph is
+    its base's arrays plus one edge (`_with_pendants`); one call of
+    `_batch_eigenvalues` solves them all.  A base graph repeats by identity
+    (the stream builds each one once, and pickling a chunk keeps shared
+    objects shared), so bases are told apart by id, without hashing their
+    edges.  The margins are taken over the padded eigenvalue rows at once,
+    and a grown graph becomes a BoundaryGraph only for a violation's
+    CandidatePair or a flagged range check.  Returns the histogram counts
+    of the margins and the violation documents, in instance order.
     """
     instances, k_min, k_max, tol = payload
-    row: dict[int, int] = {}  # id of a base graph -> its row in eigs
+    row: dict[int, int] = {}  # id of a base graph -> its row in the batch
     bases = []
     for g1, _x in instances:
         if id(g1) not in row:
             row[id(g1)] = len(bases)
             bases.append(g1)
-    grown = [add_pendant(g1, x) for g1, x in instances]
-    eigs = _eigenvalues(bases + grown, tol)
-    out = []
-    for (g1, x), g2, w2 in zip(instances, grown, eigs[len(bases):]):
-        w1 = eigs[row[id(g1)]]
-        win = _window(w1, w2, k_min, k_max)
-        margin = min(map(sub, w1[win], w2[win]), default=math.inf)
-        doc = None
-        if margin < -VIOLATION_TOL:
-            doc = _compare(g1, g2, x, "pendant", w1, w2, k_min, k_max).to_json()
-        out.append((margin, doc))
-    return out
+    count = len(bases)
+    rows = np.array([row[id(g1)] for g1, _x in instances])
+    xs = np.array([x for _g1, x in instances])
+    batch = _with_pendants(_batch(bases), rows, xs)
+
+    def graph(i: int) -> BoundaryGraph:
+        """The batch's graph i, for a violation or a flagged range check."""
+        return bases[i] if i < count else add_pendant(*instances[i - count])
+
+    vals = _batch_eigenvalues(batch, tol, graph)
+    size = batch.boundary.sum(axis=1)
+    w1, w2 = vals[rows], vals[count:]
+    top = np.minimum(size[rows], size[count:])
+    if k_max is not None:
+        top = np.minimum(top, k_max)
+    col = np.arange(vals.shape[1])
+    shared = (col >= k_min - 1) & (col < top[:, None])
+    margins = np.where(shared, w1 - w2, math.inf).min(axis=1)
+    docs = []
+    for i in np.flatnonzero(margins < -VIOLATION_TOL).tolist():
+        (g1, x), j = instances[i], count + i
+        e1, e2 = vals[rows[i], : size[rows[i]]].tolist(), vals[j, : size[j]].tolist()
+        docs.append(_compare(g1, graph(j), x, "pendant", e1, e2, k_min, k_max).to_json())
+    return _hist_counts(margins), docs
 
 
 def _run_hunt(
@@ -623,10 +670,10 @@ def _run_hunt(
             chunks = list(pool.map(_eval_chunk, payloads))
     else:
         chunks = [_eval_chunk(p) for p in payloads]
-    for margin, doc in (r for chunk in chunks for r in chunk):
-        _hist_add(histogram, margin)
-        if doc is not None:
-            violations.append(CandidatePair.from_json(doc))
+    for counts, docs in chunks:
+        for label, count in zip(_HIST_LABELS, counts):
+            histogram[label] += count
+        violations += map(CandidatePair.from_json, docs)
     examined += len(pending)
     cursor += len(pending)
     status = "complete" if cursor >= end else "budget_exhausted"

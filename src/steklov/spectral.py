@@ -6,19 +6,23 @@ numpy, with the sign of each eigenvector fixed so output is deterministic;
 a cyclic Jacobi solver in the test suite serves as the independent
 reference.  Boundary data is always ordered by ascending vertex id.
 
-One kernel serves every caller: graphs are grouped by (n, boundary size)
-and each group is solved as a stack.  The Laplacian blocks come from one
-scatter of the edge lists, the Schur complements from one stacked solve
+One kernel serves every caller.  A batch of graphs is a few arrays
+(`_Batch`: each graph's order and boundary mask, and every edge with its
+graph), and one scatter of its edges per order assembles the Laplacians,
+in boundary-first order.  Graphs are grouped by (n, boundary size) and each
+group is solved as a stack: the Schur complements from one stacked solve
 and matmul, the eigenpairs from one stacked `eigh`, and the symmetry,
-row-sum and residual checks are stacked reductions.  LAPACK runs the same
+row-sum and residual checks as stacked reductions.  LAPACK runs the same
 routine on each matrix of a stack, so a batch gives bit-identical results
 to one graph at a time.  The kernel has two entry points.
 `steklov_spectra` adds the sign rule, checks each graph's range as it
 writes its notes, and builds Spectrum objects (`steklov_spectrum` and
-`dtn_matrix` are batches of one).  `_eigenvalues` returns the eigenvalues
-alone, with the range checks as stacked reductions, for callers that read
-nothing else.  Hunts ask for a chunk of instances' eigenvalues per call,
-which pays the numpy call overhead once per group and not once per graph.
+`dtn_matrix` are batches of one).  `_batch_eigenvalues` returns the
+eigenvalues alone, as padded rows, with the range checks as stacked
+reductions (`_eigenvalues` is its form for a list of graphs).  It takes
+the arrays, not graph objects, so a hunt hands it grown graphs that it
+never builds, a chunk of instances per call: the numpy call overhead is
+paid once per group and not once per graph.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -104,43 +108,84 @@ def harmonic_extension(
     return f
 
 
-def _groups(graphs: list[BoundaryGraph]) -> list[list[int]]:
-    """Input positions grouped by (n, boundary size), the shape of a stack."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, g in enumerate(graphs):
-        if not g.boundary:
-            raise GraphValidationError("graph has no boundary")
-        groups.setdefault((g.n, len(g.boundary)), []).append(i)
-    return list(groups.values())
+class _Batch(NamedTuple):
+    """Graphs as arrays.  Graph i has order[i] vertices, the boundary mask
+    boundary[i, :order[i]] (each row padded with False to the widest graph)
+    and the edges ends[owner == i].  `_batch` lays the edges out graph by
+    graph; the scatter reads them in any order."""
+
+    order: np.ndarray  # (graphs,) vertex counts
+    boundary: np.ndarray  # (graphs, width) bool
+    ends: np.ndarray  # (edges, 2) vertex ids
+    owner: np.ndarray  # (edges,) the graph of each edge
 
 
-def _dtn_stack(graphs: list[BoundaryGraph], tol: Tolerances) -> np.ndarray:
-    """DtN matrices, stacked, of graphs that share n and the boundary size.
-
-    Each graph's vertices are ordered as its sorted boundary, then its
-    sorted interior.  One scatter of the edge lists assembles every
-    Laplacian; one stacked solve and one matmul give the Schur complements;
-    the symmetry and row-sum checks are stacked reductions, and the first
-    flagged graph of the stack raises.
-    """
-    count, n, b = len(graphs), graphs[0].n, len(graphs[0].boundary)
-    # rank[i, v]: place of vertex v in graph i's order (a stable sort of keys
-    # 0 for boundary, 1 for interior keeps each class ascending)
-    key = np.ones(count * n, dtype=np.int8)
-    key[[i * n + v for i, g in enumerate(graphs) for v in g.boundary]] = 0
-    rank = np.argsort(np.argsort(key.reshape(count, n), axis=1, kind="stable"), axis=1)
+def _batch(graphs: list[BoundaryGraph]) -> _Batch:
+    """The arrays of a list of graphs."""
+    ns = [g.n for g in graphs]
+    count, width = len(ns), max(ns, default=0)
+    boundary = np.zeros(count * width, bool)
+    boundary[[i * width + v for i, g in enumerate(graphs) for v in g.boundary]] = True
     ends = np.fromiter(
         chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.intp
     ).reshape(-1, 2)
-    first = np.repeat(np.arange(0, count * n, n), [len(g.edges) for g in graphs])[:, None]
+    owner = np.arange(count).repeat([len(g.edges) for g in graphs])
+    return _Batch(np.array(ns), boundary.reshape(count, width), ends, owner)
+
+
+def _stacks(batch: _Batch):
+    """(input positions, stacked Laplacians, boundary size) for each group
+    of the batch's graphs that share n and the boundary size.
+
+    Each Laplacian orders its graph's vertices as the sorted boundary, then
+    the sorted interior.  One scatter of the edges per order assembles the
+    Laplacians of that order's graphs, in input order and unpadded, so a
+    batch holds one order's Laplacians at a time.  A group's stack is its
+    order's Laplacians when it has them all, or else a contiguous copy.
+    """
+    order, boundary, ends, owner = batch
+    count, width = boundary.shape
+    # place of each vertex in its graph's order (a stable sort keeps each
+    # class ascending), and of each end of each edge
+    rank = (~boundary).argsort(axis=1, kind="stable").argsort(axis=1)
+    first = (owner * width)[:, None]
     pos = rank.ravel()[ends + first]
-    row = (pos + first) * n  # flat offset of each end's row in the stack
-    size = count * n * n
-    lap = np.bincount((row + pos).ravel(), minlength=size) - np.bincount(
-        (row + pos[:, ::-1]).ravel(), minlength=size
-    )
-    lap = lap.astype(float).reshape(count, n, n)
-    if b < n:
+    tally: dict[int, int] = {}  # n -> graphs of order n so far
+    groups: dict[int, dict[int, list[int]]] = {}  # n -> b -> input positions
+    local = []  # place of each graph among the batch's graphs of its order
+    for i, (n, b) in enumerate(zip(order.tolist(), boundary.sum(axis=1).tolist())):
+        local.append(tally.get(n, 0))
+        tally[n] = local[-1] + 1
+        groups.setdefault(n, {}).setdefault(b, []).append(i)
+    if any(0 in sizes for sizes in groups.values()):
+        raise GraphValidationError("graph has no boundary")
+    local = np.array(local)
+    for n, sizes in groups.items():
+        if tally[n] == count:  # one order, so n is the width: every edge
+            mine, start = slice(None), first
+        else:
+            mine = np.flatnonzero(order[owner] == n)
+            start = local[owner[mine], None] * n
+        at = pos[mine]
+        row = (start + at) * n  # flat offset of each end's row
+        # +1 on the diagonal at each end, -1 off it; sums of small integers
+        # are exact in any order
+        lap = np.zeros((tally[n], n, n))
+        np.add.at(lap.ravel(), row + at, 1.0)
+        np.add.at(lap.ravel(), row + at[:, ::-1], -1.0)
+        for b, idxs in sizes.items():
+            yield idxs, lap if len(idxs) == tally[n] else lap[local[idxs]], b
+
+
+def _dtn_stack(lap: np.ndarray, b: int, tol: Tolerances) -> np.ndarray:
+    """DtN matrices of stacked Laplacians whose first b vertices are the
+    boundary.
+
+    One stacked solve and one matmul give the Schur complements; the
+    symmetry and row-sum checks are stacked reductions, and the first
+    flagged graph of the stack raises.
+    """
+    if b < lap.shape[1]:
         # each L_BI contiguous, as a lone matrix would be, so BLAS sees the
         # same layout in a stack as in a batch of one
         lap_bi = np.ascontiguousarray(lap[:, :b, b:])
@@ -175,9 +220,8 @@ class DtnMatrix:
 
 def dtn_matrix(g: BoundaryGraph, tol: Tolerances = DEFAULT_TOLERANCES) -> DtnMatrix:
     """Schur complement of the interior block of the Laplacian."""
-    if not g.boundary:
-        raise GraphValidationError("graph has no boundary")
-    return DtnMatrix(boundary=g.boundary_sorted(), matrix=_dtn_stack([g], tol)[0])
+    ((_idxs, lap, b),) = _stacks(_batch([g]))
+    return DtnMatrix(boundary=g.boundary_sorted(), matrix=_dtn_stack(lap, b, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -268,17 +312,17 @@ def _range_notes(g: BoundaryGraph, w: np.ndarray) -> tuple[str, ...]:
 
 
 def _solve_stack(
-    graphs: list[BoundaryGraph], tol: Tolerances
+    lap: np.ndarray, b: int, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (zero-snapped) and eigenvectors (signs as LAPACK leaves
-    them) of a stack of graphs that share n and the boundary size.
+    them) of the DtN matrices of stacked Laplacians, as `_dtn_stack`.
 
     The DtN and residual checks are stacked reductions; the first flagged
     graph of the stack raises.  Negating an eigenvector negates its
     residual exactly, so the check reads the same before the sign rule as
     after it.  The range checks are the caller's.
     """
-    mat = _dtn_stack(graphs, tol)
+    mat = _dtn_stack(lap, b, tol)
     try:
         w, vec = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -307,14 +351,14 @@ def steklov_spectra(
     """
     graphs = list(graphs)
     spectra: list = [None] * len(graphs)
-    for idxs in _groups(graphs):
-        group = [graphs[i] for i in idxs]
-        w, vec = _solve_stack(group, tol)
+    for idxs, lap, b in _stacks(_batch(graphs)):
+        w, vec = _solve_stack(lap, b, tol)
         # deterministic sign: largest-magnitude entry of each column positive
-        top = np.argmax(np.abs(vec), axis=1)
-        lead = vec[np.arange(len(group))[:, None], top, np.arange(w.shape[1])]
+        top = np.abs(vec).argmax(axis=1)
+        lead = vec[np.arange(len(idxs))[:, None], top, np.arange(b)]
         vec = vec * np.where(lead < 0, -1.0, 1.0)[:, None, :]
-        for j, (i, g) in enumerate(zip(idxs, group)):
+        for j, i in enumerate(idxs):
+            g = graphs[i]
             spectra[i] = Spectrum(
                 graph=g,
                 boundary=g.boundary_sorted(),
@@ -326,32 +370,40 @@ def steklov_spectra(
     return spectra
 
 
-def _eigenvalues(
-    graphs: list[BoundaryGraph], tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[list[float]]:
-    """The ascending eigenvalues of each graph, in input order: the stacks
-    and every check of `steklov_spectra`, bit-identical to its eigenvalues,
-    without eigenvector signs, Spectrum objects or notes.
+def _batch_eigenvalues(batch: _Batch, tol: Tolerances, graph) -> np.ndarray:
+    """The ascending eigenvalues of each graph of a batch, as the rows of
+    one array, each padded with NaN past its graph's boundary size: the
+    stacks and every check of `steklov_spectra`, bit-identical to its
+    eigenvalues, without eigenvector signs, Spectrum objects or notes.
 
     The strict range checks are stacked reductions here, where
-    `steklov_spectra` makes them per graph with its notes; a flagged strict
-    graph raises through `_range_notes`, with the same message.
+    `steklov_spectra` makes them per graph with its notes.  graph(i) is the
+    batch's graph i, asked for only when a range check flags it; a flagged
+    strict graph raises through `_range_notes`, with the same message.
     """
-    rows: list = [None] * len(graphs)
-    for idxs in _groups(graphs):
-        group = [graphs[i] for i in idxs]
-        w, _vec = _solve_stack(group, tol)
+    rows = np.full(batch.boundary.shape, np.nan)
+    for idxs, lap, b in _stacks(batch):
+        w, _vec = _solve_stack(lap, b, tol)
         # the conditions under which _range_notes raises for a strict graph
         flagged = np.abs(w[:, 0]) > LAMBDA1_ZERO
         flagged |= w[:, -1] > 1.0 + LAMBDA_MAX_SLACK
-        if w.shape[1] >= 2:
+        if b >= 2:
             flagged |= w[:, 1] <= LAMBDA2_FLOOR
         for j in np.flatnonzero(flagged):
-            if group[j].strict:
-                _range_notes(group[j], w[j])  # raises
-        for i, row in zip(idxs, w.tolist()):
-            rows[i] = row
+            g = graph(idxs[j])
+            if g.strict:
+                _range_notes(g, w[j])  # raises
+        rows[idxs, :b] = w
     return rows
+
+
+def _eigenvalues(
+    graphs: list[BoundaryGraph], tol: Tolerances = DEFAULT_TOLERANCES
+) -> list[list[float]]:
+    """The ascending eigenvalues of each graph, in input order, as
+    `_batch_eigenvalues` gives them."""
+    rows = _batch_eigenvalues(_batch(graphs), tol, graphs.__getitem__)
+    return [w[: len(g.boundary)] for w, g in zip(rows.tolist(), graphs)]
 
 
 def steklov_spectrum(

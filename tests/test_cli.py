@@ -177,6 +177,17 @@ def test_verify_random_trees_reproducible(capsys, tmp_path):
     assert out1.splitlines()[-1] == "5/5 passed"
 
 
+def test_verify_zero_random_trees_is_an_empty_batch(capsys, monkeypatch, tmp_path):
+    # an explicit 0 is a batch of no trees; it never reads a graph from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    out_file = tmp_path / "reports.jsonl"
+    rc, out, err = run(
+        capsys, "verify", "diameter", "--random-trees", "0", "--out", str(out_file)
+    )
+    assert (rc, out, err) == (0, "0/0 passed\n", "")
+    assert out_file.read_text() == ""
+
+
 def test_verify_out_writes_json_lines(capsys, tmp_path):
     out_file = tmp_path / "reports.jsonl"
     rc, _, _ = run(

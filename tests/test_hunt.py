@@ -6,6 +6,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from steklov import (
@@ -25,7 +26,7 @@ from steklov import (
 from steklov.hunt import (
     _HIST_EDGES,
     _empty_histogram,
-    _hist_add,
+    _hist_counts,
     _prefix_orders,
     _stream,
 )
@@ -346,14 +347,18 @@ def test_hist_add_bins_as_the_edge_scan_does():
                 return i
         return len(_HIST_EDGES) - 2
 
-    labels = list(_empty_histogram())
-    values = [math.nan, -math.inf, math.inf, 0.3, -1.0, 1e-5, 7.0]
-    values += list(_HIST_EDGES) + [math.nextafter(e, -math.inf) for e in _HIST_EDGES]
+    values = [math.nan, -math.inf, math.inf, 0.0, -0.0, 0.3, -1.0, 1e-5, 7.0]
+    for edge in _HIST_EDGES:
+        values += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    bins = len(_HIST_EDGES) - 1
     for value in values:
-        hist = _empty_histogram()
-        _hist_add(hist, value)
-        want = {label: int(i == scanned(value)) for i, label in enumerate(labels)}
-        assert hist == want, value
+        want = [int(i == scanned(value)) for i in range(bins)]
+        assert _hist_counts(np.array([value])) == want, value
+    together = [0] * bins
+    for value in values:
+        together[scanned(value)] += 1
+    assert _hist_counts(np.array(values)) == together
+    assert _hist_counts(np.array([])) == [0] * bins
 
 
 @pytest.mark.parametrize(
@@ -493,12 +498,13 @@ def _recompute(cfg: HuntConfig) -> dict:
     from steklov.hunt import VIOLATION_TOL
 
     instances = _reference_stream(cfg, cfg.budget + 1)
-    hist, violations = _empty_histogram(), []
+    margins, violations = [], []
     for g1, x in instances[: cfg.budget]:
         pair = make_pair(g1, add_pendant(g1, x), x, "pendant", cfg.k_min, cfg.k_max)
-        _hist_add(hist, pair.min_margin)
+        margins.append(pair.min_margin)
         if pair.min_margin < -VIOLATION_TOL:
             violations.append(pair.to_json())
+    hist = dict(zip(_empty_histogram(), _hist_counts(np.array(margins))))
     idx = min(len(instances), cfg.budget)
     done = len(instances) == idx
     return {
@@ -533,6 +539,51 @@ def test_chunked_violation_documents_match(monkeypatch):
     assert report == _recompute(cfg)
 
 
+@pytest.mark.parametrize("k_min, k_max", [(2, None), (3, None), (2, 3), (4, 4), (9, None)])
+def test_chunk_margins_and_documents_are_make_pairs_bit_for_bit(monkeypatch, k_min, k_max):
+    # one chunk of trees and general graphs (m != n - 1) of many orders: a
+    # window across hunt 1's prefix/tail boundary at 1806, one across hunt
+    # 2's at 2793, random general graphs, and a path grown at a leaf and at
+    # an interior vertex, each base graph shared by identity
+    from steklov import hunt
+    from steklov.config import DEFAULT_TOLERANCES
+    from steklov.hunt import _random_general_graph
+
+    trees, _ = _stream(HuntConfig(problem="1", n_max=12), 1800, 12)
+    graphs, _ = _stream(HuntConfig(problem="2", n_max=12), 2788, 10)
+    rng = random.Random(5)
+    extra = [_random_general_graph(n, rng) for n in (8, 9, 11)]
+    path = path_tree(6)
+    instances = trees + graphs + [(g, x) for g in extra for x in range(g.n)]
+    instances += [(path, 0), (path, 3), (path, 6), (path, 3)]
+    assert len({g.n for g, _x in instances}) >= 5
+    assert any(len(g.edges) != g.n - 1 for g, _x in instances)
+    assert {x in g.boundary for g, x in instances} == {True, False}
+
+    # every finite margin is a "violation", so each pair's document is
+    # compared; the histogram's input is each instance's minimum margin
+    monkeypatch.setattr(hunt, "VIOLATION_TOL", -math.inf)
+    margins = []
+    binned = hunt._hist_counts
+
+    def kept(values):
+        margins.extend(values.tolist())
+        return binned(values)
+
+    monkeypatch.setattr(hunt, "_hist_counts", kept)
+    counts, docs = hunt._eval_chunk((instances, k_min, k_max, DEFAULT_TOLERANCES))
+    pairs = [
+        make_pair(g1, add_pendant(g1, x), x, "pendant", k_min, k_max)
+        for g1, x in instances
+    ]
+    want = [p.min_margin for p in pairs]
+    assert [m.hex() for m in margins] == [m.hex() for m in want]
+    assert counts == binned(np.array(want))
+    want_docs = [p.to_json() for p in pairs if p.min_margin < math.inf]
+    assert json.dumps(docs) == json.dumps(want_docs)
+    assert len(docs) < len(pairs)  # some windows are empty: a margin of inf
+
+
 def test_resume_across_a_chunk_boundary():
     base = dict(problem="1", n_max=12, k_min=2, seed=7)
     full = hunt_problem1(HuntConfig(**base, budget=600))
@@ -556,18 +607,20 @@ def test_one_batched_solve_per_chunk(monkeypatch):
     from steklov.config import DEFAULT_TOLERANCES
 
     sizes = []
-    batched = hunt._eigenvalues
+    batched = hunt._batch_eigenvalues
 
-    def counted(graphs, tol):
-        sizes.append(len(graphs))
-        return batched(graphs, tol)
+    def counted(batch, tol, graph):
+        sizes.append(len(batch.order))
+        return batched(batch, tol, graph)
 
-    monkeypatch.setattr(hunt, "_eigenvalues", counted)
+    monkeypatch.setattr(hunt, "_batch_eigenvalues", counted)
     hunt_problem1(HuntConfig(problem="1", n_max=12, k_min=2, budget=600))
     assert len(sizes) == 3  # chunks of 256, 256 and 88 instances
 
     sizes.clear()
     g = path_tree(9)
-    out = hunt._eval_chunk(([(g, x) for x in range(10)], 2, None, DEFAULT_TOLERANCES))
-    assert sizes == [11]  # the base tree once, and ten grown trees
-    assert len(out) == 10
+    counts, docs = hunt._eval_chunk(
+        ([(g, x) for x in range(10)], 2, None, DEFAULT_TOLERANCES)
+    )
+    assert sizes == [11]  # the base tree's Laplacian once, and ten grown trees'
+    assert sum(counts) == 10 and docs == []
