@@ -203,8 +203,8 @@ def _run_check(name: str, g: BoundaryGraph, rng: random.Random, args, tol) -> Ch
         return check_diameter(g, tol)
     if name == "degree_diameter":
         deg = max(g.degree(v) for v in range(g.n))
-        d_param = args.degree if args.degree else max(2, deg - 1)
-        l_param = args.length if args.length else diameter(g)
+        d_param = args.degree if args.degree is not None else max(2, deg - 1)
+        l_param = args.length if args.length is not None else diameter(g)
         return check_degree_diameter(g, d_param, l_param, tol)
     if name == "dichotomy":
         if args.at:
@@ -265,7 +265,7 @@ def cmd_hunt(args, parser, tol: Tolerances) -> int:
         return 0
     if args.nmax is None:
         args.hunt_parser.error("the following arguments are required: --nmax")
-    k_min = args.kmin if args.kmin else (3 if args.problem == "1" else 2)
+    k_min = args.kmin if args.kmin is not None else (3 if args.problem == "1" else 2)
     cfg = HuntConfig(
         problem=args.problem,
         n_max=args.nmax,

@@ -312,16 +312,27 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def random_tree(n: int, seed: int) -> BoundaryGraph:
-    """Uniform random labeled tree on n vertices via Prufer decoding.  It
-    skips ``build``: a decode is always a tree whose leaves are the labels
-    absent from the sequence, and for n >= 3 that leaf boundary is strict."""
-    if n < 3:
-        raise GraphValidationError("random_tree needs n >= 3")
+def _prufer_draws(n: int, seed: int) -> list[int]:
+    """The Prufer sequence of ``random_tree(n, seed)``: n - 2 labels below n."""
     rng = random.Random(seed)
-    seq = [_below(rng, n) for _ in range(n - 2)]
+    return [_below(rng, n) for _ in range(n - 2)]
+
+
+def _prufer_tree(seq: list[int]) -> BoundaryGraph:
+    """The tree of a Prufer sequence of length n - 2 >= 1, with its leaves
+    as boundary.  It skips ``build``: a decode is always a tree whose leaves
+    are the labels absent from the sequence, and for n >= 3 that leaf
+    boundary is strict."""
+    n = len(seq) + 2
     leaf_set = frozenset(range(n)).difference(seq)
     return BoundaryGraph(n, _normalize_edges(_prufer_decode(seq, n)), leaf_set)
+
+
+def random_tree(n: int, seed: int) -> BoundaryGraph:
+    """Uniform random labeled tree on n vertices via Prufer decoding."""
+    if n < 3:
+        raise GraphValidationError("random_tree needs n >= 3")
+    return _prufer_tree(_prufer_draws(n, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,22 @@ cursor and a parallel run merges to byte-identical results.  A run
 materializes only its window [cursor, budget) of the stream: it skips
 whole orders of the exhaustive sweep by their counted size, builds only
 the base graphs with an instance in the window, and stops enumerating at
-the window's end; each random tail tree comes straight from its Prufer
-decode (`random_tree`), which is a valid tree by construction and skips
-`build`.  Pending instances are evaluated in fixed chunks of CHUNK, and
-`--workers` maps chunks to processes.  A chunk's distinct base graphs
-become arrays once; each grown graph is its base's arrays plus one edge
+the window's end.  A random tail tree of problem 1 stays as its Prufer
+sequence, the draws of `random_tree`.  Pending instances are evaluated in
+fixed chunks of CHUNK, and `--workers` maps chunks to processes.  A
+chunk's distinct base graphs become arrays once, and its tail sequences
+are decoded together, in one numpy pass, straight into arrays
+(`_prufer_batch`); each grown graph is its base's arrays plus one edge
 and one boundary change, with no graph object.  One call of the stacked
 kernel (`spectral._batch_eigenvalues`, every check of `steklov_spectra`
 but no eigenvector signs or Spectrum objects) scatters the chunk's
 Laplacians, one scatter per order, and returns the eigenvalues as padded
-rows; the margins and histogram counts are taken over them in numpy, and
-a grown graph is built (`add_pendant`) only for a violation's
-CandidatePair.  The batched kernel is bit-identical to one graph at a
-time, and the Laplacians' entries are small integers, exact in any
-scatter, so chunking never changes a report.  Problem 1's trees are
+rows; the margins and histogram counts are taken over them in numpy.  A
+tail tree or a grown graph becomes a graph object (`random_tree`'s
+`_prufer_tree`, then `add_pendant`) only for a violation's CandidatePair
+or a flagged range check.  The batched kernel is bit-identical to one
+graph at a time, and the Laplacians' entries are small integers, exact
+in any scatter, so chunking never changes a report.  Problem 1's trees are
 generated and counted here, and problem 2's small graphs are a table of graph6 strings
 (`_ATLAS_G6`), so no hunt needs networkx; the process pool is imported
 where a hunt first needs it.
@@ -41,6 +43,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import sub
 from pathlib import Path
 from typing import Iterable
@@ -49,7 +52,16 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InternalFault, ParseError
-from .graphs import BoundaryGraph, _below, _induced, add_pendant, build, random_tree
+from .graphs import (
+    BoundaryGraph,
+    _below,
+    _induced,
+    _prufer_draws,
+    _prufer_tree,
+    add_pendant,
+    build,
+    random_tree,
+)
 from .serialize import _graph6_edges, to_edge_list
 from .spectral import _Batch, _batch, _batch_eigenvalues, _eigenvalues
 # unused here, but bench/test_bench.py's tracer test reads this binding
@@ -523,8 +535,9 @@ def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float
     instance in the window are built.  Past the prefix, instance idx draws a
     random base graph of order 11 (8 for problem 2) to n_max - 1 from a
     sub-seed bound to idx alone, so the mapping never depends on budget,
-    cursor, or worker count.  Without such orders the stream ends with
-    its prefix.
+    cursor, or worker count.  A problem-1 tail tree is given as its Prufer
+    sequence, which `_base_graph` turns into the graph `random_tree` gives.
+    Without such orders the stream ends with its prefix.
     """
     stop = cursor + want
     out: list[tuple] = []
@@ -546,31 +559,84 @@ def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float
         rng = random.Random(f"{cfg.seed}:{idx}")
         n = lo + _below(rng, hi - lo + 1)  # rng.randint(lo, hi)
         if cfg.problem == "2":
-            g1 = _random_general_graph(n, rng)
-        else:
-            g1 = random_tree(n, _below(rng, 2**32))
-        out.append((g1, _below(rng, g1.n)))
+            base = _random_general_graph(n, rng)
+        else:  # random_tree's draws, which the chunk decodes
+            base = _prufer_draws(n, _below(rng, 2**32))
+        out.append((base, _below(rng, n)))
     return out, math.inf
 
 
-def _with_pendants(base: _Batch, rows: np.ndarray, xs: np.ndarray) -> _Batch:
-    """The base graphs, then one grown graph per instance: base rows[i]
-    with a new leaf n on vertex xs[i], where n is the base's order.
+def _base_graph(base) -> BoundaryGraph:
+    """An instance's base graph: itself, or the tree of a tail's Prufer
+    sequence, as `random_tree` builds it."""
+    return base if isinstance(base, BoundaryGraph) else _prufer_tree(base)
+
+
+def _prufer_batch(seqs: list[list[int]]) -> _Batch:
+    """The arrays of the trees of nonempty Prufer sequences, leaves as
+    boundary, with the edges laid out graph by graph: `_prufer_tree`'s
+    graphs, up to the orientation and order of each graph's edges.
+
+    One numpy pass decodes them all, longest first, so that the trees still
+    decoding at step i are a leading block.  Step i joins each one's
+    smallest label of degree 1, which is the label `_prufer_decode`'s heap
+    pops, to its sequence's label i; the last two labels of degree 1 close
+    each tree.
+    """
+    count = len(seqs)
+    steps = np.array([len(seq) for seq in seqs])  # n - 2 of each tree
+    by = np.argsort(-steps, kind="stable")  # longest first
+    size = steps[by]
+    width = int(size[0]) + 2
+    cols, rows = np.arange(width), np.arange(count)
+    drawn = cols[:-2] < size[:, None]  # the labels of each sequence
+    seq = np.zeros((count, width - 2), np.intp)
+    seq[drawn] = np.fromiter(chain.from_iterable([seqs[i] for i in by]), np.intp)
+    # degree: 1 plus the label's count in the sequence, 0 past the order
+    deg = (cols < size[:, None] + 2).astype(np.intp)
+    counted = np.bincount((rows[:, None] * width + seq)[drawn], minlength=count * width)
+    deg += counted.reshape(count, width)
+    leaves = deg == 1
+    # edge i of a tree is (the leaf taken at step i, label i); its last edge
+    # is at column n - 2
+    ends = np.empty((count, width - 1, 2), np.intp)
+    ends[:, :-1, 1] = seq
+    for i, m in enumerate(drawn.sum(axis=0).tolist()):  # m trees take step i
+        live = deg[:m]
+        leaf = (live == 1).argmax(axis=1)
+        ends[:m, i, 0] = leaf
+        live[rows[:m], leaf] = 0
+        live[rows[:m], seq[:m, i]] -= 1
+    ends[rows, size] = np.nonzero(deg == 1)[1].reshape(count, 2)
+    back = np.empty_like(by)
+    back[by] = rows
+    kept = cols[:-1] <= steps[:, None]
+    return _Batch(steps + 2, leaves[back], ends[back][kept], rows.repeat(steps + 1))
+
+
+def _with_pendants(parts: list[_Batch], rows: np.ndarray, xs: np.ndarray) -> _Batch:
+    """The graphs of the parts, in order, then one grown graph per
+    instance: base rows[i] with a new leaf n on vertex xs[i], where n is the
+    base's order.
 
     This is `add_pendant` on a graph whose boundary is its degree-1
     vertices, as every base graph of the stream is: the boundary loses
-    xs[i] (if it was a leaf) and gains n.  base must come from `_batch`,
-    which lays the edges out graph by graph.
+    xs[i] (if it was a leaf) and gains n.  Each part must lay its edges out
+    graph by graph, as `_batch` and `_prufer_batch` do.
     """
-    order, boundary, ends, owner = base
-    count, width = boundary.shape
+    order = np.concatenate([part.order for part in parts])
+    count = len(order)
+    firsts = np.cumsum([0] + [len(part.order) for part in parts])
+    mask = np.zeros((count + len(rows), order.max() + 1), bool)
+    for part, first in zip(parts, firsts):
+        mask[first : first + len(part.order), : part.boundary.shape[1]] = part.boundary
     grown = np.arange(count, count + len(rows))
     n = order[rows]
-    mask = np.zeros((count + len(rows), width + 1), bool)
-    mask[:count, :width] = boundary
-    mask[count:, :width] = boundary[rows]
+    mask[count:] = mask[rows]
     mask[grown, xs] = False
     mask[grown, n] = True
+    ends = np.concatenate([part.ends for part in parts])
+    owner = np.concatenate([part.owner + first for part, first in zip(parts, firsts)])
     # a grown graph's edges: a copy of its base's, then (x, n); copied
     # edge j of copy i is the base's first edge plus j
     per_base = np.bincount(owner, minlength=count)
@@ -588,31 +654,39 @@ def _with_pendants(base: _Batch, rows: np.ndarray, xs: np.ndarray) -> _Batch:
 def _eval_chunk(payload: tuple) -> tuple[list[int], list[dict]]:
     """Worker body: a chunk of pendant instances in one batched eigensolve.
 
-    Each distinct base graph becomes arrays once, and each grown graph is
-    its base's arrays plus one edge (`_with_pendants`); one call of
-    `_batch_eigenvalues` solves them all.  A base graph repeats by identity
-    (the stream builds each one once, and pickling a chunk keeps shared
-    objects shared), so bases are told apart by id, without hashing their
-    edges.  The margins are taken over the padded eigenvalue rows at once,
-    and a grown graph becomes a BoundaryGraph only for a violation's
-    CandidatePair or a flagged range check.  Returns the histogram counts
-    of the margins and the violation documents, in instance order.
+    Each distinct base becomes arrays once: a base graph through `_batch`,
+    and the tail's Prufer sequences all at once through `_prufer_batch`.
+    Each grown graph is its base's arrays plus one edge (`_with_pendants`),
+    and one call of `_batch_eigenvalues` solves them all.  A base graph
+    repeats by identity (the stream builds each one once, and pickling a
+    chunk keeps shared objects shared), so bases are told apart by id,
+    without hashing their edges.  The margins are taken over the padded
+    eigenvalue rows at once, and a tail tree or grown graph becomes a
+    BoundaryGraph only for a violation's CandidatePair or a flagged range
+    check.  Returns the histogram counts of the margins and the violation
+    documents, in instance order.
     """
     instances, k_min, k_max, tol = payload
-    row: dict[int, int] = {}  # id of a base graph -> its row in the batch
-    bases = []
-    for g1, _x in instances:
-        if id(g1) not in row:
-            row[id(g1)] = len(bases)
-            bases.append(g1)
+    graphs: dict[int, BoundaryGraph] = {}  # id -> each distinct base graph
+    seqs: dict[int, list[int]] = {}  # id -> each tail tree's Prufer sequence
+    for base, _x in instances:
+        (graphs if isinstance(base, BoundaryGraph) else seqs)[id(base)] = base
+    bases = [*graphs.values(), *seqs.values()]
+    row = {key: i for i, key in enumerate([*graphs, *seqs])}
     count = len(bases)
-    rows = np.array([row[id(g1)] for g1, _x in instances])
-    xs = np.array([x for _g1, x in instances])
-    batch = _with_pendants(_batch(bases), rows, xs)
+    rows = np.array([row[id(base)] for base, _x in instances])
+    xs = np.array([x for _base, x in instances])
+    parts = [_batch(list(graphs.values()))]
+    if seqs:
+        parts.append(_prufer_batch(list(seqs.values())))
+    batch = _with_pendants(parts, rows, xs)
 
     def graph(i: int) -> BoundaryGraph:
         """The batch's graph i, for a violation or a flagged range check."""
-        return bases[i] if i < count else add_pendant(*instances[i - count])
+        if i < count:
+            return _base_graph(bases[i])
+        base, x = instances[i - count]
+        return add_pendant(_base_graph(base), x)
 
     vals = _batch_eigenvalues(batch, tol, graph)
     size = batch.boundary.sum(axis=1)
@@ -625,9 +699,10 @@ def _eval_chunk(payload: tuple) -> tuple[list[int], list[dict]]:
     margins = np.where(shared, w1 - w2, math.inf).min(axis=1)
     docs = []
     for i in np.flatnonzero(margins < -VIOLATION_TOL).tolist():
-        (g1, x), j = instances[i], count + i
-        e1, e2 = vals[rows[i], : size[rows[i]]].tolist(), vals[j, : size[j]].tolist()
-        docs.append(_compare(g1, graph(j), x, "pendant", e1, e2, k_min, k_max).to_json())
+        r, j, x = rows[i], count + i, instances[i][1]
+        e1, e2 = vals[r, : size[r]].tolist(), vals[j, : size[j]].tolist()
+        pair = _compare(graph(r), graph(j), x, "pendant", e1, e2, k_min, k_max)
+        docs.append(pair.to_json())
     return _hist_counts(margins), docs
 
 

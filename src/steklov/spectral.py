@@ -9,20 +9,22 @@ reference.  Boundary data is always ordered by ascending vertex id.
 One kernel serves every caller.  A batch of graphs is a few arrays
 (`_Batch`: each graph's order and boundary mask, and every edge with its
 graph), and one scatter of its edges per order assembles the Laplacians,
-in boundary-first order.  Graphs are grouped by (n, boundary size) and each
-group is solved as a stack: the Schur complements from one stacked solve
-and matmul, the eigenpairs from one stacked `eigh`, and the symmetry,
-row-sum and residual checks as stacked reductions.  LAPACK runs the same
-routine on each matrix of a stack, so a batch gives bit-identical results
-to one graph at a time.  The kernel has two entry points.
+in boundary-first order.  Graphs are grouped by (n, boundary size), and
+each group's Schur complements come from one stacked solve and matmul.
+The DtN matrices of one boundary size are then stacked across orders, and
+the rest runs once per boundary size: the symmetry and row-sum checks as
+stacked reductions, one stacked `eigh`, the residual check and the zero
+snap.  LAPACK runs the same routine on each matrix of a stack, so a batch
+gives bit-identical results to one graph at a time.  A batch of one is a
+single group and needs no copy.  The kernel has two entry points.
 `steklov_spectra` adds the sign rule, checks each graph's range as it
 writes its notes, and builds Spectrum objects (`steklov_spectrum` and
 `dtn_matrix` are batches of one).  `_batch_eigenvalues` returns the
 eigenvalues alone, as padded rows, with the range checks as stacked
 reductions (`_eigenvalues` is its form for a list of graphs).  It takes
-the arrays, not graph objects, so a hunt hands it grown graphs that it
-never builds, a chunk of instances per call: the numpy call overhead is
-paid once per group and not once per graph.
+the arrays, not graph objects, so a hunt hands it grown graphs and tail
+trees that it never builds, a chunk of instances per call: the numpy call
+overhead is paid once per group and not once per graph.
 """
 
 from __future__ import annotations
@@ -111,8 +113,8 @@ def harmonic_extension(
 class _Batch(NamedTuple):
     """Graphs as arrays.  Graph i has order[i] vertices, the boundary mask
     boundary[i, :order[i]] (each row padded with False to the widest graph)
-    and the edges ends[owner == i].  `_batch` lays the edges out graph by
-    graph; the scatter reads them in any order."""
+    and the edges ends[owner == i] of a simple graph.  `_batch` lays the
+    edges out graph by graph; the scatter reads them in any order."""
 
     order: np.ndarray  # (graphs,) vertex counts
     boundary: np.ndarray  # (graphs, width) bool
@@ -130,7 +132,7 @@ def _batch(graphs: list[BoundaryGraph]) -> _Batch:
         chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.intp
     ).reshape(-1, 2)
     owner = np.arange(count).repeat([len(g.edges) for g in graphs])
-    return _Batch(np.array(ns), boundary.reshape(count, width), ends, owner)
+    return _Batch(np.array(ns, np.intp), boundary.reshape(count, width), ends, owner)
 
 
 def _stacks(batch: _Batch):
@@ -150,15 +152,16 @@ def _stacks(batch: _Batch):
     rank = (~boundary).argsort(axis=1, kind="stable").argsort(axis=1)
     first = (owner * width)[:, None]
     pos = rank.ravel()[ends + first]
+    bsizes = boundary.sum(axis=1).tolist()
+    if 0 in bsizes:
+        raise GraphValidationError("graph has no boundary")
     tally: dict[int, int] = {}  # n -> graphs of order n so far
     groups: dict[int, dict[int, list[int]]] = {}  # n -> b -> input positions
     local = []  # place of each graph among the batch's graphs of its order
-    for i, (n, b) in enumerate(zip(order.tolist(), boundary.sum(axis=1).tolist())):
+    for i, (n, b) in enumerate(zip(order.tolist(), bsizes)):
         local.append(tally.get(n, 0))
         tally[n] = local[-1] + 1
         groups.setdefault(n, {}).setdefault(b, []).append(i)
-    if any(0 in sizes for sizes in groups.values()):
-        raise GraphValidationError("graph has no boundary")
     local = np.array(local)
     for n, sizes in groups.items():
         if tally[n] == count:  # one order, so n is the width: every edge
@@ -167,46 +170,61 @@ def _stacks(batch: _Batch):
             mine = np.flatnonzero(order[owner] == n)
             start = local[owner[mine], None] * n
         at = pos[mine]
-        row = (start + at) * n  # flat offset of each end's row
-        # +1 on the diagonal at each end, -1 off it; sums of small integers
-        # are exact in any order
+        row = start + at  # row of each end among the order's stacked rows
+        # each vertex's degree on the diagonal, and -1 at each edge's two
+        # entries off it (the graphs are simple, so no entry repeats)
         lap = np.zeros((tally[n], n, n))
-        np.add.at(lap.ravel(), row + at, 1.0)
-        np.add.at(lap.ravel(), row + at[:, ::-1], -1.0)
+        lap.ravel()[row * n + at[:, ::-1]] = -1.0
+        degree = np.bincount(row.ravel(), minlength=tally[n] * n)
+        lap.reshape(tally[n], n * n)[:, :: n + 1] = degree.reshape(tally[n], n)
         for b, idxs in sizes.items():
             yield idxs, lap if len(idxs) == tally[n] else lap[local[idxs]], b
 
 
-def _dtn_stack(lap: np.ndarray, b: int, tol: Tolerances) -> np.ndarray:
-    """DtN matrices of stacked Laplacians whose first b vertices are the
-    boundary.
+def _schur(lap: np.ndarray, b: int) -> np.ndarray:
+    """Schur complements of the interior blocks of stacked Laplacians whose
+    first b vertices are the boundary, from one stacked solve and one
+    matmul."""
+    if b == lap.shape[1]:
+        return lap
+    # each L_BI contiguous, as a lone matrix would be, so BLAS sees the
+    # same layout in a stack as in a batch of one
+    lap_bi = np.ascontiguousarray(lap[:, :b, b:])
+    try:
+        sol = np.linalg.solve(lap[:, b:, b:], lap_bi.transpose(0, 2, 1))
+    except np.linalg.LinAlgError as exc:
+        raise InternalFault(f"singular interior block: {exc}") from None
+    return lap[:, :b, :b] - lap_bi @ sol
 
-    One stacked solve and one matmul give the Schur complements; the
-    symmetry and row-sum checks are stacked reductions, and the first
-    flagged graph of the stack raises.
+
+def _dtn_stacks(batch: _Batch, tol: Tolerances):
+    """(input positions, DtN matrices) for each boundary size of the batch.
+
+    The Schur complements come per (n, b) group of `_stacks`.  The groups
+    of one boundary size are then stacked across orders, with a copy only
+    when there are several, and checked at once: the symmetry and row-sum
+    checks are stacked reductions, and the first flagged graph raises.
     """
-    if b < lap.shape[1]:
-        # each L_BI contiguous, as a lone matrix would be, so BLAS sees the
-        # same layout in a stack as in a batch of one
-        lap_bi = np.ascontiguousarray(lap[:, :b, b:])
-        try:
-            sol = np.linalg.solve(lap[:, b:, b:], lap_bi.transpose(0, 2, 1))
-        except np.linalg.LinAlgError as exc:
-            raise InternalFault(f"singular interior block: {exc}") from None
-        mat = lap[:, :b, :b] - lap_bi @ sol
-    else:
-        mat = lap
-    scale = np.maximum(1.0, np.abs(mat).max(axis=(1, 2)))
-    asym = np.abs(mat - mat.transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = asym > tol.dtn_symmetry * scale
-    if bad.any():
-        raise InternalFault(f"DtN asymmetry {asym[bad.argmax()]:.3e} out of bounds")
-    mat = (mat + mat.transpose(0, 2, 1)) / 2.0
-    rowsum = np.abs(mat.sum(axis=2)).max(axis=1)
-    bad = rowsum > tol.dtn_rowsum * scale
-    if bad.any():
-        raise InternalFault(f"DtN row sums {rowsum[bad.argmax()]:.3e} out of bounds")
-    return mat
+    sizes: dict[int, list] = {}  # b -> (input positions, Schur complements)
+    for idxs, lap, b in _stacks(batch):
+        sizes.setdefault(b, []).append((idxs, _schur(lap, b)))
+    for groups in sizes.values():
+        if len(groups) == 1:
+            ((idxs, mat),) = groups
+        else:
+            idxs = [i for group, _mat in groups for i in group]
+            mat = np.concatenate([schur for _group, schur in groups])
+        scale = np.maximum(1.0, np.abs(mat).max(axis=(1, 2)))
+        asym = np.abs(mat - mat.transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = asym > tol.dtn_symmetry * scale
+        if bad.any():
+            raise InternalFault(f"DtN asymmetry {asym[bad.argmax()]:.3e} out of bounds")
+        mat = (mat + mat.transpose(0, 2, 1)) / 2.0
+        rowsum = np.abs(mat.sum(axis=2)).max(axis=1)
+        bad = rowsum > tol.dtn_rowsum * scale
+        if bad.any():
+            raise InternalFault(f"DtN row sums {rowsum[bad.argmax()]:.3e} out of bounds")
+        yield idxs, mat
 
 
 @dataclass(frozen=True)
@@ -220,8 +238,8 @@ class DtnMatrix:
 
 def dtn_matrix(g: BoundaryGraph, tol: Tolerances = DEFAULT_TOLERANCES) -> DtnMatrix:
     """Schur complement of the interior block of the Laplacian."""
-    ((_idxs, lap, b),) = _stacks(_batch([g]))
-    return DtnMatrix(boundary=g.boundary_sorted(), matrix=_dtn_stack(lap, b, tol)[0])
+    ((_idxs, mat),) = _dtn_stacks(_batch([g]), tol)
+    return DtnMatrix(boundary=g.boundary_sorted(), matrix=mat[0])
 
 
 @dataclass(frozen=True)
@@ -311,18 +329,15 @@ def _range_notes(g: BoundaryGraph, w: np.ndarray) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _solve_stack(
-    lap: np.ndarray, b: int, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_stack(mat: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (zero-snapped) and eigenvectors (signs as LAPACK leaves
-    them) of the DtN matrices of stacked Laplacians, as `_dtn_stack`.
+    them) of stacked DtN matrices.
 
-    The DtN and residual checks are stacked reductions; the first flagged
-    graph of the stack raises.  Negating an eigenvector negates its
-    residual exactly, so the check reads the same before the sign rule as
-    after it.  The range checks are the caller's.
+    The residual check is a stacked reduction; the first flagged graph of
+    the stack raises.  Negating an eigenvector negates its residual exactly,
+    so the check reads the same before the sign rule as after it.  The
+    range checks are the caller's.
     """
-    mat = _dtn_stack(lap, b, tol)
     try:
         w, vec = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -342,17 +357,19 @@ def steklov_spectra(
 ) -> list[Spectrum]:
     """Full DtN eigendecompositions with invariant checks, in input order.
 
-    Graphs that share n and the boundary size are solved as one stack: one
-    DtN stage, one stacked eigh, and stacked checks.  LAPACK runs the same
-    routine on each matrix of a stack, so every result is bit-identical to a
-    batch of one.  A graph that fails a check raises its typed error, with
-    the message a batch of one would give; which graph raises, when several
-    fail, is not specified.
+    Graphs that share n and the boundary size share one Schur stage, and
+    graphs that share the boundary size share one stacked eigh and the
+    stacked checks.  LAPACK runs the same routine on each matrix of a
+    stack, so every result is bit-identical to a batch of one.  A graph
+    that fails a check raises its typed error, with the message a batch of
+    one would give; which graph raises, when several fail, is not
+    specified.
     """
     graphs = list(graphs)
     spectra: list = [None] * len(graphs)
-    for idxs, lap, b in _stacks(_batch(graphs)):
-        w, vec = _solve_stack(lap, b, tol)
+    for idxs, mat in _dtn_stacks(_batch(graphs), tol):
+        w, vec = _solve_stack(mat, tol)
+        b = mat.shape[1]
         # deterministic sign: largest-magnitude entry of each column positive
         top = np.abs(vec).argmax(axis=1)
         lead = vec[np.arange(len(idxs))[:, None], top, np.arange(b)]
@@ -382,8 +399,9 @@ def _batch_eigenvalues(batch: _Batch, tol: Tolerances, graph) -> np.ndarray:
     strict graph raises through `_range_notes`, with the same message.
     """
     rows = np.full(batch.boundary.shape, np.nan)
-    for idxs, lap, b in _stacks(batch):
-        w, _vec = _solve_stack(lap, b, tol)
+    for idxs, mat in _dtn_stacks(batch, tol):
+        w, _vec = _solve_stack(mat, tol)
+        b = mat.shape[1]
         # the conditions under which _range_notes raises for a strict graph
         flagged = np.abs(w[:, 0]) > LAMBDA1_ZERO
         flagged |= w[:, -1] > 1.0 + LAMBDA_MAX_SLACK

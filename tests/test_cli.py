@@ -358,6 +358,16 @@ def test_exit_2_validation(capsys):
     rc, out, err = run(capsys, "verify", "diameter", "--random-trees", "-1")
     assert rc == 2 and out == ""
     assert err.startswith("validation error:") and "--random-trees" in err
+    # an explicit 0 is a given value, not the default
+    for argv, message in (
+        (["hunt", "1", "--nmax", "9", "--kmin", "0"], "eigenvalue index starts at 2"),
+        (["verify", "degree_diameter", "--gen", "path:4", "--degree", "0"],
+         "degree parameter D must be >= 2"),
+        (["verify", "degree_diameter", "--gen", "path:4", "--length", "0"],
+         "graph has diameter 4 > 0"),
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2 and message in err, argv
 
 
 def test_exit_3_parse(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Counterexample hunts: enumeration, streams, determinism, reports."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from steklov import (
+    BoundaryGraph,
     HuntConfig,
     HuntReport,
     InternalFault,
@@ -25,6 +27,7 @@ from steklov import (
 )
 from steklov.hunt import (
     _HIST_EDGES,
+    _base_graph,
     _empty_histogram,
     _hist_counts,
     _prefix_orders,
@@ -283,6 +286,12 @@ def test_hunt_problem_id_guards():
         hunt_problem2(HuntConfig(problem="1", n_max=9))
 
 
+def _graphs(instances: list[tuple]) -> list[tuple]:
+    """Stream instances with each tail tree's Prufer draws decoded into the
+    graph that random_tree builds from them."""
+    return [(_base_graph(base), x) for base, x in instances]
+
+
 def test_seed_changes_random_tail_only():
     a = HuntConfig(problem="1", n_max=13, k_min=3, budget=10, seed=1)
     b = HuntConfig(problem="1", n_max=13, k_min=3, budget=10, seed=2)
@@ -290,7 +299,7 @@ def test_seed_changes_random_tail_only():
     assert _stream(a, 0, 1) == _stream(b, 0, 1)
     # ... and the random tail is not
     idx = sum(size for _n, size, _edges in _prefix_orders(a))
-    assert _stream(a, idx, 5)[0] != _stream(b, idx, 5)[0]
+    assert _graphs(_stream(a, idx, 5)[0]) != _graphs(_stream(b, idx, 5)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +400,10 @@ def test_make_pair_eigenvalues_are_the_spectra_eigenvalues():
 def test_instance_stream_ignores_budget():
     a = HuntConfig(problem="1", n_max=13, k_min=3, budget=10, seed=4)
     b = HuntConfig(problem="1", n_max=13, k_min=3, budget=5000, seed=4)
-    for idx in (0, 20, 400, 401):
-        (ia,), _ = _stream(a, idx, 1)
-        (ib,), _ = _stream(b, idx, 1)
+    # prefix instances, then tail instances past 1806
+    for idx in (0, 20, 400, 401, 1806, 2500):
+        (ia,) = _graphs(_stream(a, idx, 1)[0])
+        (ib,) = _graphs(_stream(b, idx, 1)[0])
         assert ia[0] == ib[0] and ia[1] == ib[1]
 
 
@@ -432,6 +442,14 @@ def _reference_stream(cfg: HuntConfig, stop: int) -> list[tuple]:
     return out[:stop]
 
 
+@functools.cache
+def _reference_window(problem: str, n_max: int, cursor: int, want: int) -> tuple:
+    """Instances [cursor, cursor + want) of the seed-0 stream, as
+    `_reference_stream` gives them."""
+    cfg = HuntConfig(problem=problem, n_max=n_max)
+    return tuple(_reference_stream(cfg, cursor + want)[cursor:])
+
+
 @pytest.mark.parametrize(
     "problem, n_max, windows",
     [
@@ -454,7 +472,12 @@ def test_stream_windows_match_full_enumeration(problem, n_max, windows):
     prefix = len(_reference_prefix(cfg))
     for cursor, want in windows:
         got, end = _stream(cfg, cursor, want)
-        assert got == full[cursor : cursor + want], (cursor, want)
+        # hunt 1's tail trees stay Prufer draws; every other base is a graph
+        drawn = [not isinstance(base, BoundaryGraph) for base, _x in got]
+        assert drawn == [
+            problem == "1" and idx >= prefix for idx in range(cursor, cursor + len(got))
+        ]
+        assert _graphs(got) == full[cursor : cursor + want], (cursor, want)
         assert end == (math.inf if len(full) == 3000 else prefix)
 
 
@@ -541,24 +564,38 @@ def test_chunked_violation_documents_match(monkeypatch):
 
 @pytest.mark.parametrize("k_min, k_max", [(2, None), (3, None), (2, 3), (4, 4), (9, None)])
 def test_chunk_margins_and_documents_are_make_pairs_bit_for_bit(monkeypatch, k_min, k_max):
-    # one chunk of trees and general graphs (m != n - 1) of many orders: a
-    # window across hunt 1's prefix/tail boundary at 1806, one across hunt
-    # 2's at 2793, random general graphs, and a path grown at a leaf and at
-    # an interior vertex, each base graph shared by identity
+    # one chunk of trees and general graphs (m != n - 1) of many orders:
+    # windows across hunt 1's prefix/tail boundary at 1806 (at n_max 16, the
+    # tail trees of orders 11 to 15 are Prufer draws decoded together), one
+    # across hunt 2's at 2793, random general graphs, and a path grown at a
+    # leaf and at an interior vertex, each base graph shared by identity
     from steklov import hunt
     from steklov.config import DEFAULT_TOLERANCES
     from steklov.hunt import _random_general_graph
 
-    trees, _ = _stream(HuntConfig(problem="1", n_max=12), 1800, 12)
-    graphs, _ = _stream(HuntConfig(problem="2", n_max=12), 2788, 10)
     rng = random.Random(5)
     extra = [_random_general_graph(n, rng) for n in (8, 9, 11)]
     path = path_tree(6)
-    instances = trees + graphs + [(g, x) for g in extra for x in range(g.n)]
-    instances += [(path, 0), (path, 3), (path, 6), (path, 3)]
-    assert len({g.n for g, _x in instances}) >= 5
-    assert any(len(g.edges) != g.n - 1 for g, _x in instances)
-    assert {x in g.boundary for g, x in instances} == {True, False}
+    own = [(g, x) for g in extra for x in range(g.n)]
+    own += [(path, 0), (path, 3), (path, 6), (path, 3)]
+    windows = [("1", 12, 1800, 12), ("1", 16, 1790, 40), ("2", 12, 2788, 10)]
+    instances = [
+        inst
+        for problem, n_max, cursor, want in windows
+        for inst in _stream(HuntConfig(problem=problem, n_max=n_max), cursor, want)[0]
+    ] + own
+    # the reference builds and validates every base graph, tail trees too
+    reference = [
+        inst for window in windows for inst in _reference_window(*window)
+    ] + own
+    assert _graphs(instances) == reference
+    tail_orders = {
+        len(base) + 2 for base, _x in instances if not isinstance(base, BoundaryGraph)
+    }
+    assert tail_orders >= set(range(11, 16))
+    assert len({g.n for g, _x in reference}) >= 5
+    assert any(len(g.edges) != g.n - 1 for g, _x in reference)
+    assert {x in g.boundary for g, x in reference} == {True, False}
 
     # every finite margin is a "violation", so each pair's document is
     # compared; the histogram's input is each instance's minimum margin
@@ -574,7 +611,7 @@ def test_chunk_margins_and_documents_are_make_pairs_bit_for_bit(monkeypatch, k_m
     counts, docs = hunt._eval_chunk((instances, k_min, k_max, DEFAULT_TOLERANCES))
     pairs = [
         make_pair(g1, add_pendant(g1, x), x, "pendant", k_min, k_max)
-        for g1, x in instances
+        for g1, x in reference
     ]
     want = [p.min_margin for p in pairs]
     assert [m.hex() for m in margins] == [m.hex() for m in want]
@@ -582,6 +619,33 @@ def test_chunk_margins_and_documents_are_make_pairs_bit_for_bit(monkeypatch, k_m
     want_docs = [p.to_json() for p in pairs if p.min_margin < math.inf]
     assert json.dumps(docs) == json.dumps(want_docs)
     assert len(docs) < len(pairs)  # some windows are empty: a margin of inf
+
+
+def test_prufer_batch_is_the_batch_of_random_trees():
+    from steklov import build, random_tree
+    from steklov.graphs import _prufer_draws
+    from steklov.hunt import _prufer_batch
+    from steklov.spectral import _batch
+
+    # mixed orders 3 to 40 in one call, n = 3 being a one-label sequence
+    rng = random.Random(11)
+    orders = (3, 40, 11, 3, 25, 12, 12, 4, 17, 9, 40)
+    draws = [(n, rng.randrange(2**32)) for n in orders]
+    seqs = [_prufer_draws(n, seed) for n, seed in draws]
+    trees = [random_tree(n, seed) for n, seed in draws]
+    # stars: every label of the sequence is the centre
+    for n, centre in ((40, 7), (9, 0), (12, 11)):
+        seqs.append([centre] * (n - 2))
+        trees.append(build(n, [(centre, v) for v in range(n) if v != centre]))
+    got, want = _prufer_batch(seqs), _batch(trees)
+    assert got.order.tolist() == want.order.tolist() == [g.n for g in trees]
+    assert got.boundary.shape == want.boundary.shape
+    assert (got.boundary == want.boundary).all()
+    # laid out graph by graph, n - 1 edges each, as _with_pendants requires
+    assert got.owner.tolist() == want.owner.tolist()
+    for i, g in enumerate(trees):
+        edges = np.sort(got.ends[got.owner == i], axis=1).tolist()
+        assert sorted(map(tuple, edges)) == list(g.edges), i
 
 
 def test_resume_across_a_chunk_boundary():
@@ -616,6 +680,16 @@ def test_one_batched_solve_per_chunk(monkeypatch):
     monkeypatch.setattr(hunt, "_batch_eigenvalues", counted)
     hunt_problem1(HuntConfig(problem="1", n_max=12, k_min=2, budget=600))
     assert len(sizes) == 3  # chunks of 256, 256 and 88 instances
+
+    # a leg across the prefix/tail boundary at 1806: a tail tree is its own
+    # base, so its chunk solves one row for it and one for its grown tree
+    sizes.clear()
+    cfg = HuntConfig(problem="1", n_max=16, k_min=2, budget=1900)
+    resume = HuntReport(
+        cfg, 1800, [], _empty_histogram(), 0.0, "budget_exhausted", 1800
+    )
+    hunt_problem1(cfg, resume=resume)
+    assert sizes == [6 + 1 + 2 * 94]  # 6 instances on one base, 94 tail trees
 
     sizes.clear()
     g = path_tree(9)
