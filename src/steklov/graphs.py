@@ -359,12 +359,19 @@ def _bfs(
 
 
 def diameter(g: BoundaryGraph) -> int:
-    """Largest combinatorial distance between two vertices."""
+    """Largest combinatorial distance between two vertices: the double
+    sweep of ``diametral_path`` on a tree, one BFS per vertex otherwise."""
+    if g.is_tree:
+        return len(diametral_path(g)) - 1
     return max(max(_bfs(g.adjacency, v)[2]) for v in range(g.n))
 
 
 def diametral_path(g: BoundaryGraph) -> list[int]:
-    """One shortest path realizing the diameter (smallest-id tie-break)."""
+    """One shortest path realizing the diameter of a tree (smallest-id
+    tie-break), by double sweep: a farthest vertex from 0, then a farthest
+    vertex from that one.  The sweep is exact on trees only."""
+    if not g.is_tree:
+        raise GraphValidationError("diametral_path needs a tree")
     dist0 = _bfs(g.adjacency, 0)[2]
     x0 = max(range(g.n), key=lambda v: (dist0[v], -v))
     _, parent, dist = _bfs(g.adjacency, x0)

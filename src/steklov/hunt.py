@@ -1,12 +1,30 @@
 """Search campaigns for eigenvalue-monotonicity counterexamples.
 
-Two standing questions drive the module: does removing a pendant vertex
-ever *decrease* a higher eigenvalue on trees (problem "1"), and does the
-same happen on general graphs whose boundary is the degree-1 vertices when
+Two problems drive the module: does removing a pendant vertex ever
+*decrease* a higher eigenvalue on trees (problem "1"), and does the same
+happen on general graphs whose boundary is the degree-1 vertices when
 growth is restricted to pendant additions (problem "2")?  The engine
 enumerates base graphs (exhaustively for small orders, seeded-randomly
 beyond), attaches one pendant at a time, compares spectra index by index,
 and records every violation as a self-contained, re-verifiable pair.
+
+Neither can have a violation.  For g' = add_pendant(g, x) on any graph,
+lambda_k(g') <= lambda_k(g) <= lambda_{k+1}(g') for every k, where M_g is
+the DtN matrix of unit boundary weights that `spectral` computes.  The
+lemma: for a positive semidefinite C and its Schur complement S onto all
+but one vertex v, lambda_k(C) <= lambda_k(S) <= lambda_{k+1}(C).
+Extending a vector by its energy-minimising value at v keeps its energy
+and grows its norm (Courant-Fischer), and S is below C with v deleted
+(Cauchy interlacing).  If x is interior, the boundary gains the new vertex
+n, and eliminating n from M_g' leaves M_g, so the lemma is the claim.  If
+x is a leaf, the boundary swaps x for n.  Giving x the value at n and
+extending harmonically over g puts no energy on the new edge, so M_g' is
+below M_g with n in x's place, and Courant-Fischer gives the lower bound.
+Eliminating x or n from C = M_g + (e_x - e_n)(e_x - e_n)^T, on the
+boundary of g plus n, leaves M_g' or M_g, so
+lambda_k(g) <= lambda_{k+1}(C) <= lambda_{k+1}(g').  A recorded violation
+is therefore a numerical fault, not a finding, and the hunts are a
+self-test of the spectral pipeline.
 
 Runs are deterministic given the config: instance idx -> content is a pure
 function of (problem, n_max, seed), so a report can be resumed from its

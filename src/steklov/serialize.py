@@ -7,13 +7,25 @@ The edge-list format is the only one carrying the boundary set explicitly:
     u v          (one line per edge)
 
 graph6 exchanges structure only; on import the boundary defaults to the
-degree-1 vertices.
+degree-1 vertices.  Both graph6 directions run in time linear in the
+string: the per-character work (the offset by 63, the range check, the
+search for characters with a bit set) is done by C-level bytes methods
+and one regular-expression scan, and Python touches only the edges.
 """
 
 from __future__ import annotations
 
+import math
+import re
+
 from .errors import ParseError
 from .graphs import BoundaryGraph, build
+
+# graph6 characters carry six bits each, offset by 63
+_G6_CHARS = bytes(range(63, 127))
+_TO_G6 = _G6_CHARS + bytes(192)
+_FROM_G6 = bytes(63) + bytes(range(64)) + bytes(129)
+_G6_RANGE = "invalid graph6 data: characters must lie in '?'..'~'"
 
 
 def to_edge_list(g: BoundaryGraph) -> str:
@@ -48,21 +60,21 @@ def from_edge_list(text: str, strict: bool = True) -> BoundaryGraph:
 
 def to_graph6(g: BoundaryGraph) -> str:
     """The order, then the upper triangle column by column, six bits per
-    character; every character is offset by 63."""
-    n, edges = g.n, set(g.edges)
+    character; every character is offset by 63.  Linear in the output: the
+    zeroed body is allocated once, each edge (i < j) sets bit j(j-1)/2 + i,
+    and one C-level ``bytes.translate`` applies the offset."""
+    n = g.n
     if n < 63:
         head = [n]
     elif n < 258048:
         head = [63] + [(n >> s) & 63 for s in (12, 6, 0)]
     else:
         head = [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
-    bits = [(i, j) in edges for j in range(1, n) for i in range(j)]
-    bits += [False] * (-len(bits) % 6)
-    body = [
-        sum(b << (5 - k) for k, b in enumerate(bits[t : t + 6]))
-        for t in range(0, len(bits), 6)
-    ]
-    return "".join(chr(c + 63) for c in head + body)
+    out = bytearray(head) + bytes((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        t = j * (j - 1) // 2 + i
+        out[len(head) + t // 6] |= 32 >> t % 6
+    return out.translate(_TO_G6).decode("ascii")
 
 
 def from_graph6(text: str, strict: bool = True) -> BoundaryGraph:
@@ -80,25 +92,42 @@ def from_graph6(text: str, strict: bool = True) -> BoundaryGraph:
 
 def _graph6_edges(line: str) -> tuple[int, list[tuple[int, int]]]:
     """The order and edges of one graph6 string without its header: the
-    inverse of to_graph6.  Bits past the last pair, the padding, are ignored."""
-    data = [ord(c) - 63 for c in line]
-    if not all(0 <= d < 64 for d in data):
-        raise ParseError("invalid graph6 data: characters must lie in '?'..'~'")
-    head = 1 if data[0] < 63 else 8 if data[1:2] == [63] else 4
+    inverse of to_graph6, with the edges in bit order.  Bits past the last
+    pair, the padding, are ignored.  The range check and the skipping of
+    zero characters run at C speed; Python touches only the set bits, and
+    ``math.isqrt`` maps each bit position back to its pair."""
+    if not line.isascii():
+        raise ParseError(_G6_RANGE)
+    raw = line.encode("ascii")
+    if raw.translate(None, _G6_CHARS):  # anything left is out of range
+        raise ParseError(_G6_RANGE)
+    data = raw.translate(_FROM_G6)
+    head = 8 if raw.startswith(b"~~") else 4 if raw.startswith(b"~") else 1
     if len(data) < head:
         raise ParseError("invalid graph6 data: the order is cut short")
     n = 0
     for d in data[head // 4 : head]:  # past the 63 markers of a long order
         n = n << 6 | d
     body = data[head:]
-    need = (n * (n - 1) // 2 + 5) // 6  # checked first: a long order is huge
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6  # checked first: a long order is huge
     if len(body) != need:
         raise ParseError(
             f"invalid graph6 data: order {n} needs {need} characters of edges, "
             f"got {len(body)}"
         )
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    return n, [e for t, e in enumerate(pairs) if body[t // 6] >> (5 - t % 6) & 1]
+    edges = []
+    for m in re.finditer(rb"[^\x00]", body):  # the characters with a bit set
+        p = m.start()
+        d = body[p]
+        while d:  # the highest bit first, so positions ascend
+            t = 6 * p + 6 - d.bit_length()
+            if t >= pairs:
+                break
+            d ^= 32 >> t % 6
+            j = (1 + math.isqrt(8 * t + 1)) // 2
+            edges.append((t - j * (j - 1) // 2, j))
+    return n, edges
 
 
 def to_dot(g: BoundaryGraph) -> str:

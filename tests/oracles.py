@@ -8,9 +8,10 @@ the general gluing that `double_at` specialises, `prufer_tree` is
 `random_tree` validated by `build`, `enumerate_trees` is hunt 1's base
 trees validated by `build`, `enumerate_graphs` filters hunt 2's small
 graphs from networkx's graph atlas, independently of the table the hunt
-embeds, and `peeled_centers` finds a tree's centres by peeling leaf
+embeds, `peeled_centers` finds a tree's centres by peeling leaf
 layers, a route independent of the diametral path that `tree_center`
-reads them from.
+reads them from, and `bfs_diameter` takes the diameter from one BFS per
+vertex, where `diameter` sweeps a tree twice.
 """
 
 import random
@@ -191,3 +192,23 @@ def peeled_centers(g: BoundaryGraph) -> list[int]:
                         nxt.append(u)
         layer = nxt
     return sorted(remaining)
+
+
+def bfs_diameter(g: BoundaryGraph) -> int:
+    """The largest distance between two vertices, by a BFS from every vertex."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    best = 0
+    for src in range(g.n):
+        dist = [-1] * g.n
+        dist[src] = 0
+        queue = [src]
+        for u in queue:
+            for v in nbrs[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        best = max(best, dist[queue[-1]])  # the queue ends at a farthest vertex
+    return best

@@ -22,6 +22,7 @@ from steklov import (
     diameter_decomposition,
     double_ball,
     doubled_branch_graph,
+    from_graph6,
     leaves,
     path_tree,
     random_tree,
@@ -30,6 +31,8 @@ from steklov import (
     tree_canonical_form,
     trees_isomorphic,
 )
+
+from oracles import bfs_diameter
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +362,29 @@ def test_instance_string_is_reconstructible():
     g6 = r.instance.split("g6=")[1].split()[0]
     g = from_graph6(g6)
     assert tree_canonical_form(g) == tree_canonical_form(random_tree(8, 77))
+
+
+# ---------------------------------------------------------------------------
+# large trees
+
+
+@pytest.mark.parametrize("n", [200, 500, 1000])
+def test_checkers_on_large_trees(n):
+    # the diameter and the report's graph6 take linear time, so these four
+    # reports cost little more than their eigensolves
+    g = random_tree(n, 11)
+    hub = max(range(n), key=lambda v: (g.degree(v), -v))
+    length = bfs_diameter(g)
+    reports = [
+        check_diameter(g),
+        check_degree_diameter(g, g.degree(hub) - 1, diameter(g)),
+        check_partition(g, min(g.boundary)),
+        check_partition(g, hub),
+    ]
+    for r in reports:
+        assert r.passed, r.json_line()
+        assert from_graph6(r.instance.split("g6=")[1].split()[0]).edges == g.edges
+    assert reports[0].details["diameter"] == reports[1].details["L"] == length
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,16 @@ from steklov import (
     trees_isomorphic,
 )
 from steklov.graphs import SUBGRAPH_LIMIT, _ahu_root_form, _below
-from steklov.hunt import _tree_edges
-from steklov.serialize import to_graph6
+from steklov.hunt import _ATLAS_G6, _tree_edges
+from steklov.serialize import from_graph6, to_graph6
 
-from oracles import enumerate_graphs, peeled_centers, prufer_tree, wedge_sum
+from oracles import (
+    bfs_diameter,
+    enumerate_graphs,
+    peeled_centers,
+    prufer_tree,
+    wedge_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +423,25 @@ def test_diametral_path_is_a_path():
     assert len(p) == diameter(g) + 1
     for a, b in zip(p, p[1:]):
         assert b in g.neighbors(a)
+
+
+def test_diameter_matches_all_pairs_bfs():
+    # trees take the double sweep; the atlas graphs, 40 of which have
+    # cycles that fool it, take one BFS per vertex
+    graphs = [random_tree(n, n) for n in range(3, 301)]
+    graphs += [from_graph6(text, strict=False) for text in _ATLAS_G6]
+    for g in graphs:
+        assert diameter(g) == bfs_diameter(g), to_graph6(g)
+
+
+def test_diametral_path_rejects_a_graph_with_a_cycle():
+    # a 5-cycle with a pendant: the double sweep from 0 stops at length 2,
+    # but the pendant lies at distance 3 from the far side of the cycle
+    g = from_graph6("Ehd?", strict=False)
+    assert not g.is_tree
+    assert diameter(g) == bfs_diameter(g) == 3
+    with pytest.raises(GraphValidationError, match="needs a tree"):
+        diametral_path(g)
 
 
 def test_tree_center():

@@ -123,6 +123,35 @@ def test_graph6_matches_networkx():
         assert sorted(tuple(sorted(e)) for e in back.edges()) == sorted(edges)
 
 
+@pytest.mark.parametrize("n", [63, 1000, 2000])
+def test_graph6_round_trip_long_orders(n):
+    # orders from 63 up take the four-character header
+    g = random_tree(n, 1)
+    text = to_graph6(g)
+    assert text[0] == "~" and len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+    order, edges = _graph6_edges(text)
+    assert (order, sorted(edges)) == (n, list(g.edges))
+    assert from_graph6(text).edges == g.edges
+
+
+def test_graph6_padding_bits_are_ignored():
+    # order 3 has 3 pairs and 3 padding bits; order 2000 has 2 padding bits
+    assert to_graph6(path_tree(2)) == "Bg"  # 101 000
+    assert _graph6_edges("Bn") == _graph6_edges("Bg") == (3, [(0, 1), (1, 2)])
+    text = to_graph6(random_tree(2000, 1))
+    padded = text[:-1] + chr((ord(text[-1]) - 63 | 3) + 63)
+    assert padded != text
+    assert _graph6_edges(padded) == _graph6_edges(text)
+
+
+def test_graph6_reads_the_eight_character_order():
+    # orders from 258048 up take eight header characters; such a body is
+    # too large to build, so the order shows in the length error
+    message = "order 258048 needs [0-9]+ characters of edges, got 0"
+    with pytest.raises(ParseError, match=message):
+        _graph6_edges("~~???~??")
+
+
 @pytest.mark.parametrize(
     "text",
     ["~", "~~", "~?", "~??~", "C", "Cxx", "Dx", "C\x7f", "C{\x00"],
