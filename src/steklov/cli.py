@@ -232,19 +232,23 @@ def cmd_verify(args, parser, tol: Tolerances) -> int:
     else:
         g = load_graph(args, parser)
         reports.append(_run_check(name, g, rng, args, tol))
-    lines = []
-    for rep in reports:
+    # with --json, stdout is the --out lines alone and the summary goes to stderr
+    table = args.format != "json"
+    lines = [rep.json_line() for rep in reports]
+    for rep, line in zip(reports, lines):
+        if not table:
+            print(line)
+            continue
         flag = "PASS" if rep.passed else "FAIL"
         margins = " ".join(f"{k}={v:.3e}" for k, v in rep.margins.items())
         print(f"{flag} {rep.check} {rep.instance} {margins}")
         for note in rep.anomalies:
             print(f"  note: {note}")
-        lines.append(rep.json_line())
     if args.out:
         Path(args.out).write_text("".join(line + "\n" for line in lines))
     failed = [rep for rep in reports if not rep.passed]
     total = len(reports)
-    print(f"{total - len(failed)}/{total} passed")
+    print(f"{total - len(failed)}/{total} passed", file=sys.stdout if table else sys.stderr)
     if failed:
         print(f"reproduce with --seed {args.seed}", file=sys.stderr)
         return 5
@@ -292,15 +296,8 @@ def cmd_generate(args, parser, tol: Tolerances) -> int:
     g = load_graph(args, parser)
     _emit_dot(args, g)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": g.n,
-                    "edges": [list(e) for e in g.edges],
-                    "boundary": sorted(g.boundary),
-                }
-            )
-        )
+        doc = {"n": g.n, "edges": [list(e) for e in g.edges], "boundary": sorted(g.boundary)}
+        print(json.dumps(doc))
     elif args.format == "graph6":
         print(to_graph6(g))
     elif args.format == "dot":

@@ -30,25 +30,23 @@ Runs are deterministic given the config: instance idx -> content is a pure
 function of (problem, n_max, seed), so a report can be resumed from its
 cursor and a parallel run merges to byte-identical results.  A run
 materializes only its window [cursor, budget) of the stream: it skips
-whole orders of the exhaustive sweep by their counted size, builds only
-the base graphs with an instance in the window, and stops enumerating at
-the window's end.  A random tail tree of problem 1 stays as its Prufer
-sequence, the draws of `random_tree`.  Pending instances are evaluated in
-fixed chunks of CHUNK, and `--workers` maps chunks to processes.  A
-chunk's distinct base graphs become arrays once, and its tail sequences
-are decoded together, in one numpy pass, straight into arrays
-(`_prufer_batch`); each grown graph is its base's arrays plus one edge
-and one boundary change, with no graph object.  One call of the stacked
-kernel (`spectral._batch_eigenvalues`, every check of `steklov_spectra`
-but no eigenvector signs or Spectrum objects) scatters the chunk's
-Laplacians, one scatter per order, and returns the eigenvalues as padded
-rows; the margins and histogram counts are taken over them in numpy.  A
-tail tree or a grown graph becomes a graph object (`random_tree`'s
-`_prufer_tree`, then `add_pendant`) only for a violation's CandidatePair
-or a flagged range check.  The batched kernel is bit-identical to one
-graph at a time, and the Laplacians' entries are small integers, exact
-in any scatter, so chunking never changes a report.  Problem 1's trees are
-generated and counted here, and problem 2's small graphs are a table of graph6 strings
+whole orders of the exhaustive sweep by their counted size and stops
+enumerating at the window's end.  A base is its order and edge list, or,
+for a random tail tree of problem 1, its Prufer sequence (the draws of
+`random_tree`), and no graph object is built for it.  The window splits
+into max(1, len // CHUNK) near-equal chunks, at least one per worker, and
+`--workers` maps chunks to processes.  A chunk's distinct bases become
+arrays once (`_edge_batch`, and `_prufer_batch` for all its sequences in
+one numpy pass), each grown graph is its base's arrays plus one edge, and
+one call of the stacked kernel (`spectral._batch_eigenvalues`: every check
+of `steklov_spectra`, but no eigenvector signs or Spectrum objects)
+returns the eigenvalues as padded rows, over which the margins and
+histogram counts are taken in numpy.  A base or grown graph becomes a
+BoundaryGraph only for a violation's CandidatePair or a flagged range
+check.  The kernel is bit-identical per graph whatever shares its stack,
+and the Laplacians' entries are small integers, exact in any scatter, so
+the split never changes a report.  Problem 1's trees are generated and
+counted here, and problem 2's small graphs are a table of graph6 strings
 (`_ATLAS_G6`), so no hunt needs networkx; the process pool is imported
 where a hunt first needs it.
 """
@@ -60,7 +58,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import sub
 from pathlib import Path
@@ -81,14 +79,14 @@ from .graphs import (
     random_tree,
 )
 from .serialize import _graph6_edges, to_edge_list
-from .spectral import _Batch, _batch, _batch_eigenvalues, _eigenvalues
+from .spectral import _Batch, _batch_eigenvalues, _eigenvalues
 # unused here, but bench/test_bench.py's tracer test reads this binding
 from .spectral import steklov_spectrum  # noqa: F401
 
 VIOLATION_TOL = 1e-8
 REVERIFY_TOL = 1e-9
-# instances per call of the batched kernel; bounds a chunk's memory, as
-# the Laplacians of each order of a chunk are held at once
+# a window of L instances splits into max(1, L // CHUNK) near-equal chunks of
+# under 2 * CHUNK: a chunk holds the Laplacians of each of its orders at once
 CHUNK = 256
 
 _HIST_EDGES = (-math.inf, -1e-8, 0.0, 1e-4, 1e-2, 0.1, 0.5, math.inf)
@@ -126,16 +124,7 @@ class HuntConfig:
             raise ValueError(f"n_max must be >= 4 for problem {problem}")
 
     def to_json(self) -> dict:
-        return {
-            "problem": self.problem,
-            "n_max": self.n_max,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "budget": self.budget,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out": self.out,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(doc: dict) -> "HuntConfig":
@@ -485,9 +474,10 @@ def _atlas_edges(n: int):
             yield sorted(_graph6_edges(text)[1])
 
 
-def _random_general_graph(n: int, rng: random.Random) -> BoundaryGraph:
-    """Random connected graph with degree-1 boundary: a tree plus a few
-    extra edges between interior vertices (leaves stay leaves)."""
+def _random_general_graph(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The sorted edge list of a random connected graph with degree-1
+    boundary: a tree plus a few extra edges between interior vertices
+    (leaves stay leaves), unvalidated."""
     t = random_tree(n, rng.randrange(2**32))
     interior = sorted(t.interior)
     edges = set(t.edges)
@@ -499,7 +489,7 @@ def _random_general_graph(n: int, rng: random.Random) -> BoundaryGraph:
                 if e not in edges:
                     edges.add(e)
                     break
-    return build(n, sorted(edges), boundary=None)
+    return sorted(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +535,18 @@ def _tree_count(n: int) -> int:
 
 def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float]:
     """Instances [cursor, cursor + want) of the stream for cfg (fewer at the
-    end of a finite stream), and the stream's length.
+    end of a finite stream), and the stream's length.  An instance is
+    (position of its base's first instance, the base's order n, its edge
+    list or Prufer sequence, attachment vertex x); `_base_graph` builds the
+    base graph.
 
     The exhaustive prefix takes each base graph of orders 3, 4, ... in
-    generation order, with every attachment vertex x.  Orders wholly before
-    the cursor are skipped by their size, and only base graphs with an
-    instance in the window are built.  Past the prefix, instance idx draws a
-    random base graph of order 11 (8 for problem 2) to n_max - 1 from a
-    sub-seed bound to idx alone, so the mapping never depends on budget,
-    cursor, or worker count.  A problem-1 tail tree is given as its Prufer
-    sequence, which `_base_graph` turns into the graph `random_tree` gives.
-    Without such orders the stream ends with its prefix.
+    generation order, with every x, and orders wholly before the cursor are
+    skipped by their size.  Past the prefix, instance idx draws a random
+    base graph of order 11 (8 for problem 2) to n_max - 1 from a sub-seed
+    bound to idx alone, so the mapping never depends on budget, cursor, or
+    worker count.  A problem-1 tail tree is its Prufer sequence.  Without
+    such orders the stream ends with its prefix.
     """
     stop = cursor + want
     out: list[tuple] = []
@@ -565,9 +556,8 @@ def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float
             # base graph i of this order holds instances first..first + n - 1
             for first, edges in zip(range(start, stop, n), edge_lists):
                 if first + n > cursor:
-                    g = build(n, edges, boundary=None)
                     xs = range(max(cursor - first, 0), min(stop - first, n))
-                    out.extend((g, x) for x in xs)
+                    out.extend((first, n, edges, x) for x in xs)
         start += size
     lo, hi = (8 if cfg.problem == "2" else 11), cfg.n_max - 1
     if hi < lo:
@@ -577,17 +567,31 @@ def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float
         rng = random.Random(f"{cfg.seed}:{idx}")
         n = lo + _below(rng, hi - lo + 1)  # rng.randint(lo, hi)
         if cfg.problem == "2":
-            base = _random_general_graph(n, rng)
-        else:  # random_tree's draws, which the chunk decodes
-            base = _prufer_draws(n, _below(rng, 2**32))
-        out.append((base, _below(rng, n)))
+            body = _random_general_graph(n, rng)
+        else:  # random_tree's draws, as a tuple: smaller than a list
+            body = tuple(_prufer_draws(n, _below(rng, 2**32)))
+        out.append((idx, n, body, _below(rng, n)))
     return out, math.inf
 
 
-def _base_graph(base) -> BoundaryGraph:
-    """An instance's base graph: itself, or the tree of a tail's Prufer
-    sequence, as `random_tree` builds it."""
-    return base if isinstance(base, BoundaryGraph) else _prufer_tree(base)
+def _base_graph(n: int, body: list) -> BoundaryGraph:
+    """The base graph of order n of an instance: `build` of its edge list,
+    or the tree of a tail's Prufer sequence, as `random_tree` builds it.  A
+    sequence has n - 2 labels, fewer than a connected graph's edges."""
+    return build(n, body) if len(body) >= n - 1 else _prufer_tree(body)
+
+
+def _edge_batch(bases: list[tuple[int, list]]) -> _Batch:
+    """The arrays of (order, edge list) bases, degree-1 vertices as boundary
+    and edges laid out graph by graph: `_batch` of their `build` graphs."""
+    order = np.array([n for n, _edges in bases], np.intp)
+    count, width = len(order), int(order.max(initial=0))
+    sizes = [len(edges) for _n, edges in bases]
+    flat = chain.from_iterable(chain.from_iterable(edges for _n, edges in bases))
+    ends = np.fromiter(flat, np.intp, 2 * sum(sizes)).reshape(-1, 2)
+    owner = np.arange(count).repeat(sizes)
+    degree = np.bincount((ends + (owner * width)[:, None]).ravel(), minlength=count * width)
+    return _Batch(order, (degree == 1).reshape(count, width), ends, owner)
 
 
 def _prufer_batch(seqs: list[list[int]]) -> _Batch:
@@ -640,7 +644,7 @@ def _with_pendants(parts: list[_Batch], rows: np.ndarray, xs: np.ndarray) -> _Ba
     This is `add_pendant` on a graph whose boundary is its degree-1
     vertices, as every base graph of the stream is: the boundary loses
     xs[i] (if it was a leaf) and gains n.  Each part must lay its edges out
-    graph by graph, as `_batch` and `_prufer_batch` do.
+    graph by graph, as `_edge_batch` and `_prufer_batch` do.
     """
     order = np.concatenate([part.order for part in parts])
     count = len(order)
@@ -670,41 +674,37 @@ def _with_pendants(parts: list[_Batch], rows: np.ndarray, xs: np.ndarray) -> _Ba
 
 
 def _eval_chunk(payload: tuple) -> tuple[list[int], list[dict]]:
-    """Worker body: a chunk of pendant instances in one batched eigensolve.
+    """Worker body: a chunk of `_stream` instances in one batched eigensolve.
 
-    Each distinct base becomes arrays once: a base graph through `_batch`,
-    and the tail's Prufer sequences all at once through `_prufer_batch`.
-    Each grown graph is its base's arrays plus one edge (`_with_pendants`),
-    and one call of `_batch_eigenvalues` solves them all.  A base graph
-    repeats by identity (the stream builds each one once, and pickling a
-    chunk keeps shared objects shared), so bases are told apart by id,
-    without hashing their edges.  The margins are taken over the padded
-    eigenvalue rows at once, and a tail tree or grown graph becomes a
-    BoundaryGraph only for a violation's CandidatePair or a flagged range
-    check.  Returns the histogram counts of the margins and the violation
-    documents, in instance order.
+    A base repeats by its stream position.  Each distinct base becomes
+    arrays once, through `_edge_batch` or, for the Prufer sequences,
+    `_prufer_batch`; each grown graph is its base's arrays plus one edge
+    (`_with_pendants`), and one call of `_batch_eigenvalues` solves them
+    all.  Returns the histogram counts of the instances' least margins and
+    the violation documents, in instance order.
     """
     instances, k_min, k_max, tol = payload
-    graphs: dict[int, BoundaryGraph] = {}  # id -> each distinct base graph
-    seqs: dict[int, list[int]] = {}  # id -> each tail tree's Prufer sequence
-    for base, _x in instances:
-        (graphs if isinstance(base, BoundaryGraph) else seqs)[id(base)] = base
+    graphs: dict[int, tuple] = {}  # position -> each distinct edge-list base
+    seqs: dict[int, tuple] = {}  # position -> each tail tree's Prufer sequence
+    for pos, n, body, _x in instances:
+        (graphs if len(body) >= n - 1 else seqs)[pos] = (n, body)
     bases = [*graphs.values(), *seqs.values()]
-    row = {key: i for i, key in enumerate([*graphs, *seqs])}
+    row = {pos: i for i, pos in enumerate([*graphs, *seqs])}
     count = len(bases)
-    rows = np.array([row[id(base)] for base, _x in instances])
-    xs = np.array([x for _base, x in instances])
-    parts = [_batch(list(graphs.values()))]
+    rows = np.array([row[inst[0]] for inst in instances])
+    xs = np.array([inst[3] for inst in instances])
+    parts = [_edge_batch(list(graphs.values()))]
     if seqs:
-        parts.append(_prufer_batch(list(seqs.values())))
+        parts.append(_prufer_batch([seq for _n, seq in seqs.values()]))
     batch = _with_pendants(parts, rows, xs)
 
+    @functools.cache
     def graph(i: int) -> BoundaryGraph:
         """The batch's graph i, for a violation or a flagged range check."""
         if i < count:
-            return _base_graph(bases[i])
-        base, x = instances[i - count]
-        return add_pendant(_base_graph(base), x)
+            return _base_graph(*bases[i])
+        pos, _n, _body, x = instances[i - count]
+        return add_pendant(graph(row[pos]), x)
 
     vals = _batch_eigenvalues(batch, tol, graph)
     size = batch.boundary.sum(axis=1)
@@ -717,7 +717,7 @@ def _eval_chunk(payload: tuple) -> tuple[list[int], list[dict]]:
     margins = np.where(shared, w1 - w2, math.inf).min(axis=1)
     docs = []
     for i in np.flatnonzero(margins < -VIOLATION_TOL).tolist():
-        r, j, x = rows[i], count + i, instances[i][1]
+        r, j, x = rows[i], count + i, instances[i][3]
         e1, e2 = vals[r, : size[r]].tolist(), vals[j, : size[j]].tolist()
         pair = _compare(graph(r), graph(j), x, "pendant", e1, e2, k_min, k_max)
         docs.append(pair.to_json())
@@ -752,9 +752,12 @@ def _run_hunt(
         examined = resume.instances
 
     pending, end = _stream(cfg, cursor, max(cfg.budget - examined, 0))
+    # near-equal chunks of under 2 * CHUNK instances, none a runt, and at
+    # least one per worker while the window holds that many instances
+    parts = min(len(pending), max(len(pending) // CHUNK, cfg.workers))
+    cuts = [len(pending) * i // parts for i in range(parts + 1)] if parts else []
     payloads = [
-        (pending[i : i + CHUNK], cfg.k_min, cfg.k_max, tol)
-        for i in range(0, len(pending), CHUNK)
+        (pending[a:b], cfg.k_min, cfg.k_max, tol) for a, b in zip(cuts, cuts[1:])
     ]
     if cfg.workers > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor

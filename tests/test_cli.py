@@ -203,6 +203,26 @@ def test_verify_out_writes_json_lines(capsys, tmp_path):
         assert doc["check"] == "partition" and doc["passed"] is True
 
 
+@pytest.mark.parametrize("flag", [["--json"], ["--format", "json"]])
+def test_verify_json_prints_the_out_lines(capsys, monkeypatch, tmp_path, flag):
+    # stdout is exactly the JSON lines --out writes; the summary and the
+    # reproduce hint go to stderr, and the exit codes stay
+    out_file = tmp_path / "reports.jsonl"
+    args = ("verify", "partition", "--random-trees", "3", "--seed", "1", *flag)
+    rc, out, err = run(capsys, *args, "--out", str(out_file))
+    assert (rc, err) == (0, "3/3 passed\n")
+    assert out == out_file.read_text() and len(out.splitlines()) == 3
+    assert [json.loads(line)["check"] for line in out.splitlines()] == ["partition"] * 3
+    monkeypatch.setenv("STEKLOV_TOL_ASSERTION", "-1")
+    rc, out, err = run(capsys, "verify", "partition", "--gen", "path:2", "--at", "v1", *flag)
+    assert rc == 5
+    assert json.loads(out)["passed"] is False
+    assert err == "0/1 passed\nreproduce with --seed 0\n"
+    # the table is unchanged
+    rc, out, err = run(capsys, "verify", "partition", "--gen", "path:2", "--at", "v1")
+    assert rc == 5 and out.startswith("FAIL partition") and out.endswith("0/1 passed\n")
+
+
 def test_verify_unknown_check(capsys):
     rc, _, err = run(capsys, "verify", "perpetual_motion", "--gen", "path:4")
     assert rc == 3

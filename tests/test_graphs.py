@@ -244,7 +244,7 @@ def _surgery_cases():
     cases = [path_tree(1), path_tree(2), star(3), ball(2, 2)]
     cases += [random_tree(n, seed) for n in range(3, 16) for seed in range(3)]
     cases += list(enumerate_graphs(5))  # cycles, default boundary
-    cases += [_random_general_graph(n, rng) for n in range(8, 13)]
+    cases += [build(n, _random_general_graph(n, rng)) for n in range(8, 13)]
     # custom boundaries, strict and relaxed, kept where build accepts them
     for n in range(4, 12):
         t = random_tree(n, 100 + n)

@@ -16,6 +16,7 @@ from steklov import (
     HuntReport,
     InternalFault,
     add_pendant,
+    build,
     find_fig1,
     from_edge_list,
     hunt_problem1,
@@ -287,9 +288,9 @@ def test_hunt_problem_id_guards():
 
 
 def _graphs(instances: list[tuple]) -> list[tuple]:
-    """Stream instances with each tail tree's Prufer draws decoded into the
-    graph that random_tree builds from them."""
-    return [(_base_graph(base), x) for base, x in instances]
+    """Stream instances with each base built: an edge list by `build`, and
+    a tail tree's Prufer draws into the graph that random_tree builds."""
+    return [(_base_graph(n, body), x) for _pos, n, body, x in instances]
 
 
 def test_seed_changes_random_tail_only():
@@ -435,7 +436,7 @@ def _reference_stream(cfg: HuntConfig, stop: int) -> list[tuple]:
             rng = random.Random(f"{cfg.seed}:{idx}")
             n = rng.randint(lo, hi)
             if cfg.problem == "2":
-                g1 = _random_general_graph(n, rng)
+                g1 = build(n, _random_general_graph(n, rng))
             else:
                 g1 = prufer_tree(n, rng.randrange(2**32))
             out.append((g1, rng.randrange(g1.n)))
@@ -472,11 +473,16 @@ def test_stream_windows_match_full_enumeration(problem, n_max, windows):
     prefix = len(_reference_prefix(cfg))
     for cursor, want in windows:
         got, end = _stream(cfg, cursor, want)
-        # hunt 1's tail trees stay Prufer draws; every other base is a graph
-        drawn = [not isinstance(base, BoundaryGraph) for base, _x in got]
+        # hunt 1's tail trees stay Prufer draws (n - 2 labels); every other
+        # base is an edge list
+        drawn = [len(body) == n - 2 for _pos, n, body, _x in got]
         assert drawn == [
             problem == "1" and idx >= prefix for idx in range(cursor, cursor + len(got))
         ]
+        # a base is keyed by the position of its first instance, idx - x in
+        # the prefix, where each base holds n instances, and idx in the tail
+        firsts = [idx - x * (idx < prefix) for idx, (*_b, x) in enumerate(got, cursor)]
+        assert [pos for pos, *_rest in got] == firsts
         assert _graphs(got) == full[cursor : cursor + want], (cursor, want)
         assert end == (math.inf if len(full) == 3000 else prefix)
 
@@ -568,30 +574,28 @@ def test_chunk_margins_and_documents_are_make_pairs_bit_for_bit(monkeypatch, k_m
     # windows across hunt 1's prefix/tail boundary at 1806 (at n_max 16, the
     # tail trees of orders 11 to 15 are Prufer draws decoded together), one
     # across hunt 2's at 2793, random general graphs, and a path grown at a
-    # leaf and at an interior vertex, each base graph shared by identity
+    # leaf and at an interior vertex.  Each base repeats by its stream
+    # position, so each window's positions are moved to a range of its own
     from steklov import hunt
     from steklov.config import DEFAULT_TOLERANCES
     from steklov.hunt import _random_general_graph
 
     rng = random.Random(5)
-    extra = [_random_general_graph(n, rng) for n in (8, 9, 11)]
-    path = path_tree(6)
-    own = [(g, x) for g in extra for x in range(g.n)]
-    own += [(path, 0), (path, 3), (path, 6), (path, 3)]
+    extra = [(n, _random_general_graph(n, rng)) for n in (8, 9, 11)]
+    own = [(-1 - i, n, edges, x) for i, (n, edges) in enumerate(extra) for x in range(n)]
+    path = list(path_tree(6).edges)
+    own += [(-9, 7, path, x) for x in (0, 3, 6, 3)]
     windows = [("1", 12, 1800, 12), ("1", 16, 1790, 40), ("2", 12, 2788, 10)]
     instances = [
-        inst
-        for problem, n_max, cursor, want in windows
-        for inst in _stream(HuntConfig(problem=problem, n_max=n_max), cursor, want)[0]
+        (pos + 10**4 * w, n, body, x)
+        for w, (problem, n_max, cursor, want) in enumerate(windows)
+        for pos, n, body, x in _stream(HuntConfig(problem=problem, n_max=n_max), cursor, want)[0]
     ] + own
     # the reference builds and validates every base graph, tail trees too
-    reference = [
-        inst for window in windows for inst in _reference_window(*window)
-    ] + own
+    reference = [inst for window in windows for inst in _reference_window(*window)]
+    reference += [(build(n, body), x) for _pos, n, body, x in own]
     assert _graphs(instances) == reference
-    tail_orders = {
-        len(base) + 2 for base, _x in instances if not isinstance(base, BoundaryGraph)
-    }
+    tail_orders = {n for _pos, n, body, _x in instances if len(body) == n - 2}
     assert tail_orders >= set(range(11, 16))
     assert len({g.n for g, _x in reference}) >= 5
     assert any(len(g.edges) != g.n - 1 for g, _x in reference)
@@ -619,6 +623,29 @@ def test_chunk_margins_and_documents_are_make_pairs_bit_for_bit(monkeypatch, k_m
     want_docs = [p.to_json() for p in pairs if p.min_margin < math.inf]
     assert json.dumps(docs) == json.dumps(want_docs)
     assert len(docs) < len(pairs)  # some windows are empty: a margin of inf
+
+
+def test_edge_batch_is_the_batch_of_built_graphs():
+    from steklov.hunt import _atlas_edges, _edge_batch, _random_general_graph, _tree_edges
+    from steklov.spectral import _batch
+
+    # the stream's edge-list bases, unvalidated: every tree of the prefix,
+    # every graph of the table, and random general graphs, in one batch
+    bases = [(n, edges) for n in range(3, 11) for edges in _tree_edges(n)]
+    bases += [(n, edges) for n in range(3, 8) for edges in _atlas_edges(n)]
+    rng = random.Random(3)
+    bases += [(n, _random_general_graph(n, rng)) for n in (8, 12, 30, 8)]
+    assert len(bases) == sum(TREE_COUNTS.values()) + sum(GRAPH_COUNTS.values()) + 4
+    graphs = [build(n, edges) for n, edges in bases]
+    got, want = _edge_batch(bases), _batch(graphs)
+    assert got.order.tolist() == want.order.tolist() == [g.n for g in graphs]
+    assert got.boundary.shape == want.boundary.shape
+    assert (got.boundary == want.boundary).all()
+    assert got.owner.tolist() == want.owner.tolist()
+    for i, g in enumerate(graphs):
+        assert list(map(tuple, got.ends[got.owner == i].tolist())) == list(g.edges), i
+    empty = _edge_batch([])
+    assert empty.order.shape == empty.owner.shape == (0,) and empty.ends.shape == (0, 2)
 
 
 def test_prufer_batch_is_the_batch_of_random_trees():
@@ -656,14 +683,56 @@ def test_resume_across_a_chunk_boundary():
     assert _strip_time(resumed) == _strip_time(full)
 
 
-def test_workers_map_chunks():
-    # 300 instances: one full chunk and a 44-instance tail
+class _InProcessPool:
+    """ProcessPoolExecutor's map, run in this process, so that a test can
+    see the chunks that a hunt with workers hands out."""
+
+    def __init__(self, max_workers):
+        self.workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+def _chunk_sizes(monkeypatch, cfg: HuntConfig, resume=None) -> list[int]:
+    """The instance counts of the chunks a hunt evaluates, in order."""
+    import concurrent.futures
+
+    from steklov import hunt
+
+    sizes = []
+    evaluate = hunt._eval_chunk
+
+    def counted(payload):
+        sizes.append(len(payload[0]))
+        return evaluate(payload)
+
+    monkeypatch.setattr(hunt, "_eval_chunk", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    hunt_problem1(cfg, resume=resume)
+    return sizes
+
+
+def test_workers_map_chunks(monkeypatch):
+    # 300 instances: one chunk alone, and two chunks of 150 on two workers
     base = dict(problem="1", n_max=12, k_min=2, budget=300, seed=2)
     solo = _strip_time(hunt_problem1(HuntConfig(**base, workers=1)))
     duo = _strip_time(hunt_problem1(HuntConfig(**base, workers=2)))
     solo["config"].pop("workers")
     duo["config"].pop("workers")
     assert solo == duo
+    assert _chunk_sizes(monkeypatch, HuntConfig(**base)) == [300]
+    assert _chunk_sizes(monkeypatch, HuntConfig(**base, workers=2)) == [150, 150]
+    # at least one chunk per worker, near-equal, while there are instances
+    assert _chunk_sizes(monkeypatch, HuntConfig(**base, workers=7)) == [42] + [43] * 6
+    few = dict(base, budget=3)
+    assert _chunk_sizes(monkeypatch, HuntConfig(**few, workers=4)) == [1, 1, 1]
 
 
 def test_one_batched_solve_per_chunk(monkeypatch):
@@ -679,7 +748,13 @@ def test_one_batched_solve_per_chunk(monkeypatch):
 
     monkeypatch.setattr(hunt, "_batch_eigenvalues", counted)
     hunt_problem1(HuntConfig(problem="1", n_max=12, k_min=2, budget=600))
-    assert len(sizes) == 3  # chunks of 256, 256 and 88 instances
+    assert len(sizes) == 2  # chunks of 300 and 300 instances
+    # a window splits into len // CHUNK near-equal chunks: none is a runt,
+    # and none holds 2 * CHUNK instances
+    for budget, want in [(255, [255]), (511, [511]), (512, [256, 256]),
+                         (1000, [333, 333, 334])]:
+        cfg = HuntConfig(problem="1", n_max=12, k_min=2, budget=budget)
+        assert _chunk_sizes(monkeypatch, cfg) == want
 
     # a leg across the prefix/tail boundary at 1806: a tail tree is its own
     # base, so its chunk solves one row for it and one for its grown tree
@@ -692,9 +767,34 @@ def test_one_batched_solve_per_chunk(monkeypatch):
     assert sizes == [6 + 1 + 2 * 94]  # 6 instances on one base, 94 tail trees
 
     sizes.clear()
-    g = path_tree(9)
+    path = list(path_tree(9).edges)
     counts, docs = hunt._eval_chunk(
-        ([(g, x) for x in range(10)], 2, None, DEFAULT_TOLERANCES)
+        ([(0, 10, path, x) for x in range(10)], 2, None, DEFAULT_TOLERANCES)
     )
     assert sizes == [11]  # the base tree's Laplacian once, and ten grown trees'
     assert sum(counts) == 10 and docs == []
+
+
+@pytest.mark.parametrize(
+    "problem, n_max, cursor, budget",
+    # across hunt 1's prefix/tail boundary at 1806, and hunt 2's at 2793
+    [("1", 14, 1780, 1840), ("2", 10, 2770, 2820)],
+)
+def test_chunk_split_never_changes_a_report(monkeypatch, problem, n_max, cursor, budget):
+    from steklov import hunt
+
+    runner = hunt_problem1 if problem == "1" else hunt_problem2
+    reports = []
+    for chunk in (1, 7, 256, 10**6):
+        monkeypatch.setattr(hunt, "CHUNK", chunk)
+        for workers in (1, 2):
+            cfg = HuntConfig(problem=problem, n_max=n_max, k_min=2, budget=budget,
+                             seed=4, workers=workers)
+            resume = HuntReport(
+                cfg, cursor, [], _empty_histogram(), 0.0, "budget_exhausted", cursor
+            )
+            report = _strip_time(runner(cfg, resume=resume))
+            report["config"].pop("workers")
+            reports.append(report)
+    assert reports[0]["instances"] == budget
+    assert all(report == reports[0] for report in reports[1:])
