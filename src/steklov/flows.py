@@ -115,6 +115,8 @@ def solve_flow(
 ) -> LambdaFlow:
     """Lambda-flow to x via the transfer recursion, normalized to f(w) = 1."""
     _require_flow_tree(g, x)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     if w is None:
@@ -155,7 +157,7 @@ def solve_flow(
     flow = LambdaFlow(lam=lam, target=x, norm_vertex=w, values=f)
     residual = verify_flow(g, flow)
     bound = tol.flow_residual * max(1.0, float(np.max(np.abs(f))))
-    if residual > bound:
+    if not residual <= bound:  # a NaN residual fails too
         raise InternalFault(
             f"transfer flow residual {residual:.3e} exceeds {bound:.3e} "
             f"at lambda={lam!r}"

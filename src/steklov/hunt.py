@@ -29,10 +29,11 @@ self-test of the spectral pipeline.
 Runs are deterministic given the config: instance idx -> content is a pure
 function of (problem, n_max, seed), so a report can be resumed from its
 cursor and a parallel run merges to byte-identical results.  A run
-materializes only its window [cursor, budget) of the stream: it skips
-whole orders of the exhaustive sweep by their counted size and stops
-enumerating at the window's end.  A base is its order and edge list, or,
-for a random tail tree of problem 1, its Prufer sequence (the draws of
+materializes only its window [cursor, budget) of the stream: the
+exhaustive sweep is one table per process (`_prefix`: at most 199 trees or
+411 graphs, each with every x), which the window slices, and the random
+tail is drawn only inside the window.  A base is its order and edge list,
+or, for a random tail tree of problem 1, its Prufer sequence (the draws of
 `random_tree`), and no graph object is built for it.  The window splits
 into max(1, len // CHUNK) near-equal chunks, at least one per worker, and
 `--workers` maps chunks to processes.  A chunk's distinct bases become
@@ -41,14 +42,14 @@ one numpy pass), each grown graph is its base's arrays plus one edge, and
 one call of the stacked kernel (`spectral._batch_eigenvalues`: every check
 of `steklov_spectra`, but no eigenvector signs or Spectrum objects)
 returns the eigenvalues as padded rows, over which the margins and
-histogram counts are taken in numpy.  A base or grown graph becomes a
-BoundaryGraph only for a violation's CandidatePair or a flagged range
-check.  The kernel is bit-identical per graph whatever shares its stack,
-and the Laplacians' entries are small integers, exact in any scatter, so
-the split never changes a report.  Problem 1's trees are generated and
-counted here, and problem 2's small graphs are a table of graph6 strings
-(`_ATLAS_G6`), so no hunt needs networkx; the process pool is imported
-where a hunt first needs it.
+histogram counts are taken in numpy.  Every graph of a chunk is strict, so
+the kernel's range checks take an all-True mask, and a base or grown graph
+becomes a BoundaryGraph only for a violation's CandidatePair.  The kernel
+is bit-identical per graph whatever shares its stack, and the Laplacians'
+entries are small integers, exact in any scatter, so the split never
+changes a report.  Problem 1's trees are generated here, and problem 2's
+small graphs are a table of graph6 strings (`_ATLAS_G6`), so no hunt needs
+networkx; the process pool is imported where a hunt first needs it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import sub
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -496,41 +496,20 @@ def _random_general_graph(n: int, rng: random.Random) -> list[tuple[int, int]]:
 # deterministic instance streams
 
 
-def _prefix_orders(cfg: HuntConfig) -> list[tuple[int, int, Iterable[list]]]:
-    """(order n, instances of order n, base edge lists of order n) for each
-    order of the exhaustive prefix.  Tree edge lists come lazily, so a
-    window can stop enumerating at its end; their number is `_tree_count`."""
-    if cfg.problem == "2":
-        orders = range(3, min(cfg.n_max - 1, 7) + 1)
-        lists = [list(_atlas_edges(n)) for n in orders]
-        return [(n, n * len(e), e) for n, e in zip(orders, lists)]
-    orders = range(3, min(cfg.n_max - 1, 10) + 1)
-    return [(n, n * _tree_count(n), _tree_edges(n)) for n in orders]
-
-
 @functools.cache
-def _rooted_tree_count(n: int) -> int:
-    """Rooted trees on n vertices up to isomorphism (OEIS A000081)."""
-    if n < 2:
-        return n
-    total = sum(
-        d * _rooted_tree_count(d) * _rooted_tree_count(n - j)
-        for j in range(1, n)
-        for d in range(1, j + 1)
-        if j % d == 0
-    )
-    return total // (n - 1)
-
-
-@functools.cache
-def _tree_count(n: int) -> int:
-    """Free trees on n vertices up to isomorphism (OEIS A000055), from the
-    rooted counts by Otter's formula."""
-    r = _rooted_tree_count
-    pairs = sum(r(k) * r(n - k) for k in range(n + 1))
-    if n % 2 == 0:
-        pairs -= r(n // 2)
-    return r(n) - pairs // 2
+def _prefix(problem: str, top: int) -> tuple[tuple, ...]:
+    """Every instance (first, n, edges, x) of the exhaustive prefix through
+    order top, in stream order: each base graph of orders 3, 4, ..., top in
+    generation order, with every x.  first is the stream position of the
+    base's first instance, and the base's edges are a tuple, so that no
+    caller can change the shared table."""
+    bases = _atlas_edges if problem == "2" else _tree_edges
+    table: list[tuple] = []
+    for n in range(3, top + 1):
+        for edges in bases(n):
+            first, edges = len(table), tuple(edges)
+            table.extend((first, n, edges, x) for x in range(n))
+    return tuple(table)
 
 
 def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float]:
@@ -540,26 +519,18 @@ def _stream(cfg: HuntConfig, cursor: int, want: int) -> tuple[list[tuple], float
     list or Prufer sequence, attachment vertex x); `_base_graph` builds the
     base graph.
 
-    The exhaustive prefix takes each base graph of orders 3, 4, ... in
-    generation order, with every x, and orders wholly before the cursor are
-    skipped by their size.  Past the prefix, instance idx draws a random
+    The exhaustive prefix is the slice of `_prefix`'s table, through order
+    10 (7 for problem 2) or n_max - 1.  Past it, instance idx draws a random
     base graph of order 11 (8 for problem 2) to n_max - 1 from a sub-seed
     bound to idx alone, so the mapping never depends on budget, cursor, or
     worker count.  A problem-1 tail tree is its Prufer sequence.  Without
     such orders the stream ends with its prefix.
     """
     stop = cursor + want
-    out: list[tuple] = []
-    start = 0
-    for n, size, edge_lists in _prefix_orders(cfg):
-        if start < stop and start + size > cursor:
-            # base graph i of this order holds instances first..first + n - 1
-            for first, edges in zip(range(start, stop, n), edge_lists):
-                if first + n > cursor:
-                    xs = range(max(cursor - first, 0), min(stop - first, n))
-                    out.extend((first, n, edges, x) for x in xs)
-        start += size
     lo, hi = (8 if cfg.problem == "2" else 11), cfg.n_max - 1
+    prefix = _prefix(cfg.problem, min(hi, lo - 1))
+    out = list(prefix[cursor:stop])
+    start = len(prefix)
     if hi < lo:
         return out, start
     for idx in range(max(cursor, start), stop):
@@ -688,25 +659,16 @@ def _eval_chunk(payload: tuple) -> tuple[list[int], list[dict]]:
     seqs: dict[int, tuple] = {}  # position -> each tail tree's Prufer sequence
     for pos, n, body, _x in instances:
         (graphs if len(body) >= n - 1 else seqs)[pos] = (n, body)
-    bases = [*graphs.values(), *seqs.values()]
     row = {pos: i for i, pos in enumerate([*graphs, *seqs])}
-    count = len(bases)
+    count = len(row)
     rows = np.array([row[inst[0]] for inst in instances])
     xs = np.array([inst[3] for inst in instances])
     parts = [_edge_batch(list(graphs.values()))]
     if seqs:
         parts.append(_prufer_batch([seq for _n, seq in seqs.values()]))
     batch = _with_pendants(parts, rows, xs)
-
-    @functools.cache
-    def graph(i: int) -> BoundaryGraph:
-        """The batch's graph i, for a violation or a flagged range check."""
-        if i < count:
-            return _base_graph(*bases[i])
-        pos, _n, _body, x = instances[i - count]
-        return add_pendant(graph(row[pos]), x)
-
-    vals = _batch_eigenvalues(batch, tol, graph)
+    # every base of the stream is strict, and so is each graph grown from it
+    vals = _batch_eigenvalues(batch, tol, np.ones(len(batch.order), bool))
     size = batch.boundary.sum(axis=1)
     w1, w2 = vals[rows], vals[count:]
     top = np.minimum(size[rows], size[count:])
@@ -717,9 +679,10 @@ def _eval_chunk(payload: tuple) -> tuple[list[int], list[dict]]:
     margins = np.where(shared, w1 - w2, math.inf).min(axis=1)
     docs = []
     for i in np.flatnonzero(margins < -VIOLATION_TOL).tolist():
-        r, j, x = rows[i], count + i, instances[i][3]
+        _pos, n, body, x = instances[i]
+        r, j, g1 = rows[i], count + i, _base_graph(n, body)
         e1, e2 = vals[r, : size[r]].tolist(), vals[j, : size[j]].tolist()
-        pair = _compare(graph(r), graph(j), x, "pendant", e1, e2, k_min, k_max)
+        pair = _compare(g1, add_pendant(g1, x), x, "pendant", e1, e2, k_min, k_max)
         docs.append(pair.to_json())
     return _hist_counts(margins), docs
 

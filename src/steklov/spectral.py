@@ -22,9 +22,9 @@ writes its notes, and builds Spectrum objects (`steklov_spectrum` and
 `dtn_matrix` are batches of one).  `_batch_eigenvalues` returns the
 eigenvalues alone, as padded rows, with the range checks as stacked
 reductions (`_eigenvalues` is its form for a list of graphs).  It takes
-the arrays, not graph objects, so a hunt hands it grown graphs and tail
-trees that it never builds, a chunk of instances per call: the numpy call
-overhead is paid once per group and not once per graph.
+the arrays and a strict mask, not graph objects, so a hunt hands it grown
+graphs and tail trees that it never builds, a chunk of instances per call:
+the numpy call overhead is paid once per group and not once per graph.
 """
 
 from __future__ import annotations
@@ -308,12 +308,12 @@ class Spectrum:
         return doc
 
 
-def _range_notes(g: BoundaryGraph, w: np.ndarray) -> tuple[str, ...]:
+def _range_notes(strict: bool, w: np.ndarray) -> tuple[str, ...]:
     """A strict graph's spectrum lies in [0, 1] with lambda_1 = 0 < lambda_2;
     a relaxed graph may leave that range, and gets notes saying where."""
     high = w[-1] > 1.0 + LAMBDA_MAX_SLACK
     flat = len(w) >= 2 and w[1] <= LAMBDA2_FLOOR
-    if g.strict:
+    if strict:
         if abs(w[0]) > LAMBDA1_ZERO:
             raise InternalFault(f"lambda_1 = {w[0]:.3e} is not zero")
         if flat:
@@ -381,23 +381,24 @@ def steklov_spectra(
                 boundary=g.boundary_sorted(),
                 eigenvalues=w[j],
                 vectors=vec[j],
-                notes=_range_notes(g, w[j]),
+                notes=_range_notes(g.strict, w[j]),
                 tol=tol,
             )
     return spectra
 
 
-def _batch_eigenvalues(batch: _Batch, tol: Tolerances, graph) -> np.ndarray:
+def _batch_eigenvalues(batch: _Batch, tol: Tolerances, strict) -> np.ndarray:
     """The ascending eigenvalues of each graph of a batch, as the rows of
     one array, each padded with NaN past its graph's boundary size: the
     stacks and every check of `steklov_spectra`, bit-identical to its
     eigenvalues, without eigenvector signs, Spectrum objects or notes.
 
-    The strict range checks are stacked reductions here, where
-    `steklov_spectra` makes them per graph with its notes.  graph(i) is the
-    batch's graph i, asked for only when a range check flags it; a flagged
-    strict graph raises through `_range_notes`, with the same message.
+    strict is a boolean mask over the batch's graphs.  The strict range
+    checks are stacked reductions here, where `steklov_spectra` makes them
+    per graph with its notes; a flagged strict graph raises through
+    `_range_notes`, with the same message.
     """
+    strict = np.asarray(strict, bool)
     rows = np.full(batch.boundary.shape, np.nan)
     for idxs, mat in _dtn_stacks(batch, tol):
         w, _vec = _solve_stack(mat, tol)
@@ -407,10 +408,8 @@ def _batch_eigenvalues(batch: _Batch, tol: Tolerances, graph) -> np.ndarray:
         flagged |= w[:, -1] > 1.0 + LAMBDA_MAX_SLACK
         if b >= 2:
             flagged |= w[:, 1] <= LAMBDA2_FLOOR
-        for j in np.flatnonzero(flagged):
-            g = graph(idxs[j])
-            if g.strict:
-                _range_notes(g, w[j])  # raises
+        for j in np.flatnonzero(flagged & strict[idxs]):
+            _range_notes(True, w[j])  # raises
         rows[idxs, :b] = w
     return rows
 
@@ -420,7 +419,7 @@ def _eigenvalues(
 ) -> list[list[float]]:
     """The ascending eigenvalues of each graph, in input order, as
     `_batch_eigenvalues` gives them."""
-    rows = _batch_eigenvalues(_batch(graphs), tol, graphs.__getitem__)
+    rows = _batch_eigenvalues(_batch(graphs), tol, [g.strict for g in graphs])
     return [w[: len(g.boundary)] for w, g in zip(rows.tolist(), graphs)]
 
 

@@ -371,6 +371,10 @@ def test_exit_2_validation(capsys):
         capsys, "flow", "--gen", "path:2", "--to", "v2", "--lambda", "-1"
     )
     assert rc == 2
+    for lam in ("nan", "inf"):
+        rc, out, err = run(capsys, "flow", "--gen", "path:3", "--to", "0", "--lambda", lam)
+        assert rc == 2 and out == "", lam
+        assert err == f"validation error: lambda must be finite, got {lam}\n"
     # no vertex of degree >= 2 to draw, and a negative batch size
     rc, _, err = run(capsys, "verify", "dichotomy", "--gen", "path:1")
     assert rc == 2

@@ -21,6 +21,7 @@ from steklov import flows
 from steklov import (
     DEFAULT_TOLERANCES,
     GraphValidationError,
+    InternalFault,
     ResonantLambda,
     build,
     default_norm_vertex,
@@ -164,6 +165,16 @@ def test_flow_validation_errors():
     custom = build(4, [(0, 1), (1, 2), (2, 3)], boundary={0})
     with pytest.raises(GraphValidationError):
         solve_flow(custom, 0, 0.1)
+
+
+def test_solve_flow_rejects_nonfinite_lambda_and_nan_residual(monkeypatch):
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            solve_flow(path_tree(2), 2, lam)
+    # a NaN residual compares false with its bound, and is still a fault
+    monkeypatch.setattr(flows, "verify_flow", lambda g, flow: math.nan)
+    with pytest.raises(InternalFault, match="transfer flow residual nan"):
+        solve_flow(path_tree(2), 2, 0.5)
 
 
 def test_default_norm_vertex():

@@ -31,7 +31,7 @@ from steklov.hunt import (
     _base_graph,
     _empty_histogram,
     _hist_counts,
-    _prefix_orders,
+    _prefix,
     _stream,
 )
 
@@ -77,15 +77,6 @@ def test_tree_edges_match_networkx_order():
             for t in nx.nonisomorphic_trees(n)
         ]
         assert list(_tree_edges(n)) == expected, n
-
-
-def test_tree_count_matches_networkx():
-    nx = pytest.importorskip("networkx")
-    from steklov.hunt import _tree_count
-
-    for n in range(1, 21):
-        assert _tree_count(n) == nx.number_of_nonisomorphic_trees(n), n
-    assert [_tree_count(n) for n in TREE_COUNTS] == list(TREE_COUNTS.values())
 
 
 def test_enumerate_graphs_counts_and_shape():
@@ -262,7 +253,7 @@ def test_hunt1_resume_rejects_foreign_stream():
 
 def test_hunt1_random_tail_reaches_big_trees():
     cfg = HuntConfig(problem="1", n_max=12, k_min=3, budget=2000, seed=5)
-    prefix = sum(size for _n, size, _edges in _prefix_orders(cfg))
+    prefix = len(_prefix("1", 10))  # the trees of orders 3 to 10
     assert prefix < 2000  # the run below must enter the random tail
     rep = hunt_problem1(cfg)
     assert rep.instances == 2000
@@ -299,7 +290,7 @@ def test_seed_changes_random_tail_only():
     # the exhaustive prefix is seed-independent ...
     assert _stream(a, 0, 1) == _stream(b, 0, 1)
     # ... and the random tail is not
-    idx = sum(size for _n, size, _edges in _prefix_orders(a))
+    idx = len(_prefix("1", 10))
     assert _graphs(_stream(a, idx, 5)[0]) != _graphs(_stream(b, idx, 5)[0])
 
 
@@ -488,14 +479,19 @@ def test_stream_windows_match_full_enumeration(problem, n_max, windows):
 
 
 def test_counted_prefix_sizes_match_enumeration():
-    trees = _prefix_orders(HuntConfig(problem="1", n_max=11))
-    assert [n for n, _size, _edges in trees] == list(range(3, 11))
-    for n, size, _edges in trees:
-        assert size == n * sum(1 for _ in enumerate_trees(n)) == n * TREE_COUNTS[n]
-    graphs = _prefix_orders(HuntConfig(problem="2", n_max=8))
-    assert [(n, size) for n, size, _e in graphs] == [
-        (n, n * GRAPH_COUNTS[n]) for n in range(3, 8)
-    ]
+    # order n holds n instances of each base, contiguous, the base's first
+    # instance its position, with x = 0..n - 1
+    for problem, top, counts in (("1", 10, TREE_COUNTS), ("2", 7, GRAPH_COUNTS)):
+        table = _prefix(problem, top)
+        orders = [n for _first, n, _edges, _x in table]
+        assert orders == [n for n in range(3, top + 1) for _ in range(n * counts[n])]
+        for idx, (first, n, edges, x) in enumerate(table):
+            assert first == idx - x and 0 <= x < n, idx
+            assert table[first : first + n] == tuple(
+                (first, n, edges, v) for v in range(n)
+            )
+            assert type(edges) is tuple
+    assert _prefix("1", 5) == _prefix("1", 10)[:26]
 
 
 @pytest.mark.parametrize("problem, n_max, end", [("1", 11, 1806), ("2", 8, 2793)])
@@ -742,9 +738,9 @@ def test_one_batched_solve_per_chunk(monkeypatch):
     sizes = []
     batched = hunt._batch_eigenvalues
 
-    def counted(batch, tol, graph):
+    def counted(batch, tol, strict):
         sizes.append(len(batch.order))
-        return batched(batch, tol, graph)
+        return batched(batch, tol, strict)
 
     monkeypatch.setattr(hunt, "_batch_eigenvalues", counted)
     hunt_problem1(HuntConfig(problem="1", n_max=12, k_min=2, budget=600))
@@ -798,3 +794,67 @@ def test_chunk_split_never_changes_a_report(monkeypatch, problem, n_max, cursor,
             reports.append(report)
     assert reports[0]["instances"] == budget
     assert all(report == reports[0] for report in reports[1:])
+
+
+def test_interleaved_resumed_hunts_match_whole_runs():
+    # the prefix tables of several (problem, top) pairs live in one process:
+    # legs of six campaigns, interleaved and resumed, one leg on two
+    # workers, end in the reports of whole runs that built their own table
+    campaigns = [("1", 8), ("2", 6), ("1", 12), ("2", 9), ("1", 10), ("2", 12)]
+    runners = {"1": hunt_problem1, "2": hunt_problem2}
+    budget, legs = 2900, 5
+
+    def doc(report: HuntReport) -> dict:
+        out = _strip_time(report)
+        out["config"].pop("workers")
+        return out
+
+    whole = {}
+    for problem, n_max in campaigns:
+        _prefix.cache_clear()
+        cfg = HuntConfig(problem=problem, n_max=n_max, k_min=2, budget=budget, seed=6)
+        whole[problem, n_max] = doc(runners[problem](cfg))
+    _prefix.cache_clear()
+    reports = dict.fromkeys(campaigns)
+    for leg in range(1, legs + 1):
+        for (problem, n_max), report in reports.items():
+            cfg = HuntConfig(problem=problem, n_max=n_max, k_min=2, seed=6,
+                             budget=budget * leg // legs, workers=1 + (leg == 3))
+            reports[problem, n_max] = runners[problem](cfg, resume=report)
+    assert {key: doc(report) for key, report in reports.items()} == whole
+    tables = {(p, min(n_max - 1, 7 if p == "2" else 10)) for p, n_max in campaigns}
+    assert _prefix.cache_info().currsize == len(tables) == 5
+    for problem, top in tables:
+        assert _prefix(problem, top) == _prefix.__wrapped__(problem, top)
+
+
+@pytest.mark.parametrize(
+    "bound, value, message",
+    # each bound moved so that every graph fails its check
+    [("LAMBDA1_ZERO", -1.0, "is not zero"),
+     ("LAMBDA2_FLOOR", 2.0, "is not positive"),
+     ("LAMBDA_MAX_SLACK", -2.0, "exceeds 1")],
+)
+@pytest.mark.parametrize(
+    "problem, n_max, cursor",
+    # a base of the exhaustive prefix, and one of the random tail, each
+    # with a lambda_2
+    [("1", 12, 700), ("1", 12, 1900), ("2", 9, 1100), ("2", 9, 2800)],
+)
+def test_flagged_range_check_in_a_chunk_raises(
+    monkeypatch, bound, value, message, problem, n_max, cursor
+):
+    # a one-instance window: the chunk's first graph is the base, whose
+    # flagged range check raises the message its own spectrum raises
+    from steklov import spectral, steklov_spectrum
+
+    cfg = HuntConfig(problem=problem, n_max=n_max, k_min=2, budget=cursor + 1)
+    ((_pos, n, body, _x),), _end = _stream(cfg, cursor, 1)
+    monkeypatch.setattr(spectral, bound, value)
+    with pytest.raises(InternalFault, match=message) as want:
+        steklov_spectrum(_base_graph(n, body))
+    resume = HuntReport(cfg, cursor, [], _empty_histogram(), 0.0, "budget_exhausted", cursor)
+    runner = hunt_problem1 if problem == "1" else hunt_problem2
+    with pytest.raises(InternalFault) as got:
+        runner(cfg, resume=resume)
+    assert str(got.value) == str(want.value)
